@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import ConfigError, ConstantProductAmm
+from .models import ConfigError, ConstantProductAmm, constant_product_swap
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,8 @@ def _outcome(aarb: float, naarb: float, hv: float, i: int) -> ArbOutcome:
 
 
 # Pools are carried as plain floats internally; event streams reach millions
-# of applications per sweep and dataclass churn dominates otherwise.
-
-def _swap_in_x(rx: float, ry: float, fee: float, amount: float) -> tuple[float, float, float]:
-    eff = amount * (1.0 - fee)
-    out = eff * ry / (rx + eff)
-    return rx + amount, ry - out, out
-
-
-def _swap_in_y(rx: float, ry: float, fee: float, amount: float) -> tuple[float, float, float]:
-    eff = amount * (1.0 - fee)
-    out = eff * rx / (ry + eff)
-    return rx - out, ry + amount, out
-
+# of applications per sweep and dataclass churn dominates otherwise.  A Y-in
+# trade is the constant-product kernel with the reserves swapped.
 
 class _Pools:
     __slots__ = ("ax", "ay", "afee", "bx", "by", "bfee")
@@ -90,29 +79,29 @@ class _Pools:
 
     def buy_y(self, exchange: str, budget: float) -> float:
         if exchange == "a":
-            self.ax, self.ay, out = _swap_in_x(self.ax, self.ay, self.afee, budget)
+            self.ax, self.ay, out = constant_product_swap(self.ax, self.ay, self.afee, budget)
         else:
-            self.bx, self.by, out = _swap_in_x(self.bx, self.by, self.bfee, budget)
+            self.bx, self.by, out = constant_product_swap(self.bx, self.by, self.bfee, budget)
         return out
 
     def sell_y(self, exchange: str, quantity: float) -> float:
         if exchange == "a":
-            self.ax, self.ay, out = _swap_in_y(self.ax, self.ay, self.afee, quantity)
+            self.ay, self.ax, out = constant_product_swap(self.ay, self.ax, self.afee, quantity)
         else:
-            self.bx, self.by, out = _swap_in_y(self.bx, self.by, self.bfee, quantity)
+            self.by, self.bx, out = constant_product_swap(self.by, self.bx, self.bfee, quantity)
         return out
 
     def apply(self, event: TradeEvent) -> None:
         if event.exchange == "a":
             if event.direction == "XY":
-                self.ax, self.ay, _ = _swap_in_x(self.ax, self.ay, self.afee, event.amount)
+                self.ax, self.ay, _ = constant_product_swap(self.ax, self.ay, self.afee, event.amount)
             else:
-                self.ax, self.ay, _ = _swap_in_y(self.ax, self.ay, self.afee, event.amount)
+                self.ay, self.ax, _ = constant_product_swap(self.ay, self.ax, self.afee, event.amount)
         elif event.exchange == "b":
             if event.direction == "XY":
-                self.bx, self.by, _ = _swap_in_x(self.bx, self.by, self.bfee, event.amount)
+                self.bx, self.by, _ = constant_product_swap(self.bx, self.by, self.bfee, event.amount)
             else:
-                self.bx, self.by, _ = _swap_in_y(self.bx, self.by, self.bfee, event.amount)
+                self.by, self.bx, _ = constant_product_swap(self.by, self.bx, self.bfee, event.amount)
         # other exchange ids: irrelevant replay traffic, no-op
 
 

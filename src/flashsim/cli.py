@@ -13,16 +13,16 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
 import click
 import numpy as np
 import scipy
 
-from . import analytics, atomicity
+from . import __version__, analytics, atomicity
 from .models import ConfigError, ConstantProductAmm, STRICT_RESIDUAL_TOL
-from .optimize import FEASIBILITY_TOL, OptimizationResult, SolverConfig, grid_oracle, solve
+from .optimize import FEASIBILITY_TOL, OptimizationResult, SolverConfig, grid_oracle, problem, solve
 from .scenario import BUILTIN_SCENARIOS, builtin_scenario, load_scenario
 from .vectors import (
     BUILTIN_VECTORS,
@@ -67,7 +67,7 @@ class RunReport:
 
 def _versions() -> dict:
     return {
-        "flashsim": metadata.version("flashsim"),
+        "flashsim": __version__,
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -189,6 +189,7 @@ def optimize(ctx, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
     try:
         best = solve(vector, state, config, ignore=ignored, method=method)
         grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
+        prob = problem(vector, state, ignored)
     except (ConfigError, EvaluationError, ValueError) as exc:
         _fail(str(exc))
 
@@ -199,7 +200,7 @@ def optimize(ctx, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
         disagreement = rel_gap > AGREEMENT_THRESHOLD
 
     params = np.array(best.best_params)
-    corner = np.array([lo for lo, _ in vector.bounds])
+    scales = dict(zip(prob.constraints, prob.scales))
     constraint_rows = []
     notes = []
     for spec in vector.constraints:
@@ -207,8 +208,7 @@ def optimize(ctx, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
         constraint_rows.append({"name": spec.name, "description": spec.description,
                                 "step": spec.step, "linear": spec.linear,
                                 "value_at_best": value, "ignored": spec.name in ignored})
-        scale = max(1.0, abs(float(spec.fn(corner))))  # solver's normalization
-        if spec.name not in ignored and abs(value) <= 1e-4 * scale:
+        if spec.name not in ignored and abs(value) <= 1e-4 * scales[spec]:
             for ref_name, ref_params in vector.reference_points.items():
                 ref_value = float(spec.fn(np.array(ref_params)))
                 if ref_value < -FEASIBILITY_TOL:

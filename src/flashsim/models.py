@@ -280,20 +280,23 @@ def _amm_checked(state: WorldState, amm_id: str) -> ConstantProductAmm:
     return amm
 
 
-def amm_swap_x_for_y(state: WorldState, amm_id: str, trader: Entity, amount: float) -> OpResult:
-    """Swap `amount` of X into the pool for Y; output preserves the reserve product.
+def constant_product_swap(r_in: float, r_out: float, fee: float, amount: float) -> tuple[float, float, float]:
+    """Pay `amount` into reserve `r_in` at `fee`: (new r_in, new r_out, amount out)."""
+    effective = amount * (1.0 - fee)
+    out = effective * r_out / (r_in + effective)
+    return r_in + amount, r_out - out, out
 
-    Output for input p at fee f is p(1-f) * reserve_y / (reserve_x + p(1-f)).
-    """
+
+def amm_swap_x_for_y(state: WorldState, amm_id: str, trader: Entity, amount: float) -> OpResult:
+    """Swap `amount` of X into the pool for Y; output preserves the reserve product."""
     _require_finite("swap amount", amount)
     if amount < 0:
         raise ConfigError(f"negative swap amount {amount}")
     amm = _amm_checked(state, amm_id)
-    effective = amount * (1.0 - amm.fee_rate)
-    out = effective * amm.reserve_y / (amm.reserve_x + effective)
+    reserve_x, reserve_y, out = constant_product_swap(amm.reserve_x, amm.reserve_y, amm.fee_rate, amount)
     ledger = state.ledger.add(trader, amm.asset_x, -amount)
     ledger = ledger.add(trader, amm.asset_y, out)
-    new_amm = replace(amm, reserve_x=amm.reserve_x + amount, reserve_y=amm.reserve_y - out)
+    new_amm = replace(amm, reserve_x=reserve_x, reserve_y=reserve_y)
     new_state = state.with_ledger(ledger).with_pool(amm_id, new_amm)
     return new_state, [Residual("trader_x_balance", state.balance(trader, amm.asset_x) - amount)]
 
@@ -304,11 +307,10 @@ def amm_swap_y_for_x(state: WorldState, amm_id: str, trader: Entity, amount: flo
     if amount < 0:
         raise ConfigError(f"negative swap amount {amount}")
     amm = _amm_checked(state, amm_id)
-    effective = amount * (1.0 - amm.fee_rate)
-    out = effective * amm.reserve_x / (amm.reserve_y + effective)
+    reserve_y, reserve_x, out = constant_product_swap(amm.reserve_y, amm.reserve_x, amm.fee_rate, amount)
     ledger = state.ledger.add(trader, amm.asset_y, -amount)
     ledger = ledger.add(trader, amm.asset_x, out)
-    new_amm = replace(amm, reserve_y=amm.reserve_y + amount, reserve_x=amm.reserve_x - out)
+    new_amm = replace(amm, reserve_y=reserve_y, reserve_x=reserve_x)
     new_state = state.with_ledger(ledger).with_pool(amm_id, new_amm)
     return new_state, [Residual("trader_y_balance", state.balance(trader, amm.asset_y) - amount)]
 
@@ -431,9 +433,8 @@ def margin_short(state: WorldState, platform_id: str, trader: Entity, collateral
     state_after = state.with_ledger(ledger)
     if platform.venue is not None:
         amm = _amm_checked(state_after, platform.venue)
-        effective = pushed * (1.0 - amm.fee_rate)
-        locked_out = effective * amm.reserve_y / (amm.reserve_x + effective)
-        new_amm = replace(amm, reserve_x=amm.reserve_x + pushed, reserve_y=amm.reserve_y - locked_out)
+        new_x, new_y, locked_out = constant_product_swap(amm.reserve_x, amm.reserve_y, amm.fee_rate, pushed)
+        new_amm = replace(amm, reserve_x=new_x, reserve_y=new_y)
         state_after = state_after.with_pool(platform.venue, new_amm)
     elif platform.external_price is not None:
         locked_out = pushed / platform.external_price

@@ -5,7 +5,9 @@ driven by central finite-difference gradients, restarted from a Latin
 hypercube of seeds over the bound box.  An augmented-Lagrangian fallback
 covers environments where the QP subproblem solver misbehaves.  Residuals
 are normalized by the magnitude of their constant term so pools five
-orders of magnitude apart weigh comparably.
+orders of magnitude apart weigh comparably.  :class:`Problem`, built once
+per solve or scan by :func:`problem`, is the single place where residuals
+are scaled; every solver path and the CLI's constraint report read it.
 
 ``grid_oracle`` is the independent check: an exhaustive feasible-box scan
 (plus one local refinement pass) that certifies solver results on one- to
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -66,26 +68,56 @@ class OptimizationResult:
         }
 
 
-def _active_constraints(vector: AttackVector, ignore: Iterable[str]) -> list[ConstraintSpec]:
+@dataclass(frozen=True)
+class Problem:
+    """A vector's objective and active constraints, with the residual scales.
+
+    Residuals are normalized by their magnitude at the lower-bound corner,
+    i.e. the constant term for the affine majority (pools differ by ~1e5 in
+    size).  A `batched` problem takes a ``(k, n)`` batch of points in one
+    call; a replayed chain is evaluated one point at a time.
+    """
+
+    objective: Callable[[np.ndarray], np.ndarray | float]
+    constraints: tuple[ConstraintSpec, ...]
+    scales: np.ndarray
+    bounds: tuple[tuple[float, float], ...]
+    batched: bool
+
+    def residuals(self, p) -> np.ndarray:
+        """Scaled residual of every active constraint at one point."""
+        p = np.asarray(p, dtype=float)
+        return np.array([float(c.fn(p)) for c in self.constraints]) / self.scales
+
+    def min_residual(self, p):
+        """Smallest scaled residual at one point, or per row of a batch."""
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1:
+            return float(self.residuals(p).min()) if self.constraints else np.inf
+        worst = np.full(len(p), np.inf)
+        for c, s in zip(self.constraints, self.scales):
+            np.minimum(worst, np.asarray(c.fn(p), dtype=float) / s, out=worst)
+        return worst
+
+    def scan(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objective and smallest scaled residual at each row of `pts`."""
+        if self.batched:
+            return np.asarray(self.objective(pts), dtype=float), self.min_residual(pts)
+        # A replayed point serves its objective and its residuals together.
+        return tuple(np.array([(float(self.objective(p)), self.min_residual(p)) for p in pts]).T)
+
+
+def problem(vector: AttackVector, scenario: WorldState, ignore: Iterable[str] = ()) -> Problem:
+    """The solver's view of `vector` on `scenario`, minus the ignored constraints."""
     ignored = set(ignore)
     unknown = ignored - {c.name for c in vector.constraints}
     if unknown:
         raise ConfigError(f"cannot ignore unknown constraint(s) {sorted(unknown)}")
-    return [c for c in vector.constraints if c.name not in ignored]
-
-
-def _scales(constraints: Sequence[ConstraintSpec], bounds) -> np.ndarray:
-    # Normalize by each residual's magnitude at the lower-bound corner, i.e.
-    # its constant term for the affine majority (pools differ by ~1e5 in size).
-    corner = np.array([lo for lo, _ in bounds], dtype=float)
-    return np.array([max(1.0, abs(float(c.fn(corner)))) for c in constraints])
-
-
-def _min_scaled_residual(constraints, scales, params) -> float:
-    if not constraints:
-        return np.inf
-    values = np.array([float(c.fn(params)) for c in constraints]) / scales
-    return float(values.min())
+    constraints = tuple(c for c in vector.constraints if c.name not in ignored)
+    corner = np.array([lo for lo, _ in vector.bounds], dtype=float)
+    scales = np.array([max(1.0, abs(float(c.fn(corner)))) for c in constraints])
+    return Problem(closed_form_objective(vector, scenario), constraints, scales,
+                   vector.bounds, batched=vector.objective is not None)
 
 
 def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
@@ -97,6 +129,18 @@ def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
     cells = np.stack([rng.permutation(n) for _ in range(dim)], axis=1)
     u = (cells + rng.random((n, dim))) / n
     return lo + u * (hi - lo)
+
+
+def _central_difference(f, params: np.ndarray, step: float) -> np.ndarray:
+    grad = np.empty_like(params)
+    for i in range(len(params)):
+        bump = np.zeros_like(params)
+        bump[i] = step
+        try:
+            grad[i] = (float(f(params + bump)) - float(f(params - bump))) / (2.0 * step)
+        except EvaluationError as exc:
+            raise EvaluationError(exc.step, f"while differencing coordinate {i}: {exc}") from None
+    return grad
 
 
 def finite_diff_gradient(
@@ -112,35 +156,25 @@ def finite_diff_gradient(
             raise ValueError(
                 f"parameter {i} = {p} not interior to [{lo}, {hi}] by step {step}"
             )
-    f = closed_form_objective(vector, scenario)
-    grad = np.empty_like(params)
-    for i in range(len(params)):
-        bump = np.zeros_like(params)
-        bump[i] = step
-        try:
-            grad[i] = (float(f(params + bump)) - float(f(params - bump))) / (2.0 * step)
-        except EvaluationError as exc:
-            raise EvaluationError(exc.step, f"while differencing coordinate {i}: {exc}") from None
-    return grad
+    return _central_difference(closed_form_objective(vector, scenario), params, step)
 
 
-def _solve_slsqp(neg_obj, grad_neg, x0, bounds, cons_fns, cfg) -> tuple[np.ndarray, int]:
-    scipy_cons = [{"type": "ineq", "fun": fn} for fn in cons_fns]
+def _solve_slsqp(prob: Problem, neg_obj, grad_neg, x0, cfg) -> tuple[np.ndarray, int]:
     res = minimize(
         neg_obj,
         x0,
         jac=grad_neg,
-        bounds=bounds,
-        constraints=scipy_cons,
+        bounds=prob.bounds,
+        constraints=[{"type": "ineq", "fun": prob.residuals}] if prob.constraints else [],
         method="SLSQP",
         options={"maxiter": cfg.max_iterations, "ftol": cfg.tolerance},
     )
-    return np.clip(res.x, [b[0] for b in bounds], [b[1] for b in bounds]), int(res.nit)
+    return np.clip(res.x, [b[0] for b in prob.bounds], [b[1] for b in prob.bounds]), int(res.nit)
 
 
-def _solve_auglag(neg_obj, x0, bounds, cons_fns, cfg) -> tuple[np.ndarray, int]:
+def _solve_auglag(prob: Problem, neg_obj, x0, cfg) -> tuple[np.ndarray, int]:
     """Augmented-Lagrangian fallback: L-BFGS-B inner solves, multiplier updates."""
-    m = len(cons_fns)
+    m = len(prob.constraints)
     lam = np.zeros(m)
     mu = 10.0
     x = np.asarray(x0, dtype=float)
@@ -149,16 +183,15 @@ def _solve_auglag(neg_obj, x0, bounds, cons_fns, cfg) -> tuple[np.ndarray, int]:
     for _ in range(25):
         def lagrangian(p, lam=lam, mu=mu):
             total = neg_obj(p)
-            for i, fn in enumerate(cons_fns):
-                g = fn(p)
+            for i, g in enumerate(prob.residuals(p)):
                 total += (max(0.0, lam[i] - mu * g) ** 2 - lam[i] ** 2) / (2.0 * mu)
             return total
 
-        inner = minimize(lagrangian, x, bounds=bounds, method="L-BFGS-B",
+        inner = minimize(lagrangian, x, bounds=prob.bounds, method="L-BFGS-B",
                          options={"maxiter": cfg.max_iterations})
         x = inner.x
         iterations += int(inner.nit)
-        g = np.array([fn(x) for fn in cons_fns]) if m else np.zeros(0)
+        g = prob.residuals(x)
         violation = float(np.maximum(0.0, -g).max()) if m else 0.0
         new_lam = np.maximum(0.0, lam - mu * g) if m else lam
         if violation <= FEASIBILITY_TOL and np.allclose(new_lam, lam, rtol=1e-6, atol=1e-9):
@@ -192,27 +225,13 @@ def solve(
         raise ConfigError(f"unknown method {method!r}")
 
     started = time.perf_counter()
-    objective = closed_form_objective(vector, scenario)
-    constraints = _active_constraints(vector, ignore)
-    scales = _scales(constraints, vector.bounds)
-    cons_fns = [
-        (lambda p, c=c, s=s: float(c.fn(np.asarray(p, dtype=float))) / s)
-        for c, s in zip(constraints, scales)
-    ]
+    prob = problem(vector, scenario, ignore)
 
     def neg_obj(p):
-        return -float(objective(np.asarray(p, dtype=float)))
+        return -float(prob.objective(np.asarray(p, dtype=float)))
 
     def grad_neg(p):
-        f = objective
-        p = np.asarray(p, dtype=float)
-        h = config.fd_step
-        out = np.empty_like(p)
-        for i in range(len(p)):
-            bump = np.zeros_like(p)
-            bump[i] = h
-            out[i] = -(float(f(p + bump)) - float(f(p - bump))) / (2.0 * h)
-        return out
+        return -_central_difference(prob.objective, np.asarray(p, dtype=float), config.fd_step)
 
     starts = latin_hypercube(config.starts, vector.bounds, config.seed)
     best: tuple[float, np.ndarray, float] | None = None  # (objective, params, min residual)
@@ -221,14 +240,14 @@ def solve(
     for x0 in starts:
         try:
             if method == "slsqp":
-                x, nit = _solve_slsqp(neg_obj, grad_neg, x0, vector.bounds, cons_fns, config)
+                x, nit = _solve_slsqp(prob, neg_obj, grad_neg, x0, config)
             else:
-                x, nit = _solve_auglag(neg_obj, x0, vector.bounds, cons_fns, config)
+                x, nit = _solve_auglag(prob, neg_obj, x0, config)
         except (EvaluationError, FloatingPointError):
             continue
         iterations += nit
-        value = float(objective(x))
-        worst = _min_scaled_residual(constraints, scales, x)
+        value = float(prob.objective(x))
+        worst = prob.min_residual(x)
         if not np.isfinite(value):
             continue
         if worst >= -FEASIBILITY_TOL:
@@ -238,19 +257,14 @@ def solve(
             least_bad = (value, x, worst)
 
     elapsed = time.perf_counter() - started
-    if best is not None:
-        value, x, worst = best
-        feasible = True
-    elif least_bad is not None:
-        value, x, worst = least_bad
-        feasible = False
-    else:
+    if best is None and least_bad is None:
         raise EvaluationError(0, "every start failed to evaluate")
+    value, x, worst = best or least_bad
     return OptimizationResult(
         best_params=tuple(float(v) for v in x),
         best_objective=value,
         max_violation=worst,
-        feasible=feasible,
+        feasible=best is not None,
         iterations=iterations,
         wall_time=elapsed,
         starts_tried=len(starts),
@@ -274,25 +288,14 @@ def grid_oracle(
     if resolution < 2:
         raise ConfigError("grid resolution must be at least 2")
     started = time.perf_counter()
-    objective = closed_form_objective(vector, scenario)
-    constraints = _active_constraints(vector, ignore)
-    scales = _scales(constraints, vector.bounds)
-    vectorized = vector.objective is not None
+    prob = problem(vector, scenario, ignore)
 
     def scan(lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray] | None:
         axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        if vectorized:
-            values = np.asarray(objective(pts), dtype=float)
-            feasible = np.ones(len(pts), dtype=bool)
-            for c, s in zip(constraints, scales):
-                feasible &= np.asarray(c.fn(pts), dtype=float) / s >= -FEASIBILITY_TOL
-        else:
-            values = np.array([float(objective(p)) for p in pts])
-            feasible = np.array([
-                _min_scaled_residual(constraints, scales, p) >= -FEASIBILITY_TOL for p in pts
-            ])
+        values, worst = prob.scan(pts)
+        feasible = worst >= -FEASIBILITY_TOL
         if not feasible.any():
             return None
         masked = np.where(feasible, values, -np.inf)
@@ -313,24 +316,12 @@ def grid_oracle(
             best = fine
 
     elapsed = time.perf_counter() - started
-    if best is None:
-        corner = lo
-        return OptimizationResult(
-            best_params=tuple(corner),
-            best_objective=float(objective(corner)),
-            max_violation=_min_scaled_residual(constraints, scales, corner),
-            feasible=False,
-            iterations=evaluated,
-            wall_time=elapsed,
-            starts_tried=1,
-            method="grid",
-        )
-    value, point = best
+    value, point = best if best is not None else (float(prob.objective(lo)), lo)
     return OptimizationResult(
         best_params=tuple(float(v) for v in point),
         best_objective=value,
-        max_violation=_min_scaled_residual(constraints, scales, point),
-        feasible=True,
+        max_violation=prob.min_residual(point),
+        feasible=best is not None,
         iterations=evaluated,
         wall_time=elapsed,
         starts_tried=1,

@@ -258,16 +258,32 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
     return EvaluationTrace(tuple(states), tuple(residuals), gain)
 
 
-def trace_objective(vector: AttackVector, scenario: WorldState, params: Sequence[float]) -> float:
-    """Objective via full chain replay (the slow, endpoint-faithful route)."""
-    return evaluate(vector, scenario, params).objective_value
+# The last replay: (steps, scenario, actor, profit asset, arity, point bytes,
+# trace).  Steps and scenario match by identity and the entry keeps both
+# alive; it is one tuple, read and replaced whole, so a thread can miss
+# another's entry but never read a mismatched one.
+_last_replay: tuple = ()
+
+
+def _replay(vector: AttackVector, scenario: WorldState, params) -> EvaluationTrace:
+    """`evaluate`, reusing the last trace at the same point, so a described
+    vector's objective and all of its residuals cost one replay per point."""
+    global _last_replay
+    key = (vector.steps, scenario, vector.actor, vector.profit_asset, vector.n_params,
+           np.asarray(params, dtype=float).tobytes())
+    last = _last_replay
+    if last and last[0] is key[0] and last[1] is key[1] and last[2:-1] == key[2:]:
+        return last[-1]
+    trace = evaluate(vector, scenario, params)
+    _last_replay = (*key, trace)
+    return trace
 
 
 def closed_form_objective(vector: AttackVector, scenario: WorldState) -> Callable:
     """Best objective callable available: algebraic if present, else replay."""
     if vector.objective is not None:
         return vector.objective
-    return lambda p: trace_objective(vector, scenario, np.asarray(p, dtype=float))
+    return lambda p: _replay(vector, scenario, p).objective_value
 
 
 def list_constraints(vector: AttackVector) -> list[dict]:
@@ -531,7 +547,8 @@ def _probe_constraints(vector: AttackVector, scenario: WorldState) -> tuple[Cons
     """Mechanically derive constraints for a user vector from a probe replay.
 
     Linearity is decided numerically: a residual is classified linear when
-    it is affine along random segments of the parameter box.
+    it is affine along random segments of the parameter box.  Each probe
+    point is replayed once and serves every residual.
     """
     lo = np.array([b[0] for b in vector.bounds])
     hi = np.array([b[1] for b in vector.bounds])
@@ -539,16 +556,18 @@ def _probe_constraints(vector: AttackVector, scenario: WorldState) -> tuple[Cons
     probe = evaluate(vector, scenario, mid)
     rng = np.random.default_rng(11)
     pts = [lo + rng.random(vector.n_params) * (hi - lo) * 0.5 for _ in range(3)]
+    segments = [(a, b, 0.5 * (a + b)) for a, b in zip(pts, pts[1:] + pts[:1])]
+    unique = {p.tobytes(): p for segment in segments for p in segment}
+    values = {key: [r.value for r in evaluate(vector, scenario, p).residuals] for key, p in unique.items()}
 
     def residual_fn(index: int):
-        return lambda p: evaluate(vector, scenario, np.asarray(p, dtype=float)).residuals[index].value
+        return lambda p: _replay(vector, scenario, p).residuals[index].value
 
     specs = []
     for idx, res in enumerate(probe.residuals):
-        fn = residual_fn(idx)
         linear = True
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            fa, fb, fmid = fn(a), fn(b), fn(0.5 * (a + b))
+        for segment in segments:
+            fa, fb, fmid = (values[p.tobytes()][idx] for p in segment)
             scale = max(1.0, abs(fa), abs(fb))
             if abs(0.5 * (fa + fb) - fmid) > 1e-7 * scale:
                 linear = False
@@ -558,7 +577,7 @@ def _probe_constraints(vector: AttackVector, scenario: WorldState) -> tuple[Cons
             description=f"{res.name} at step {res.step}",
             step=res.step or 0,
             linear=linear,
-            fn=fn,
+            fn=residual_fn(idx),
         ))
     return tuple(specs)
 

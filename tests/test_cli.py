@@ -94,6 +94,18 @@ class TestOptimize:
         second = runner.invoke(main, args)
         assert stable(first.output) == stable(second.output)
 
+    @pytest.mark.parametrize("golden, args", [
+        ("optimize_paa.json", ["--vector", "paa"]),
+        ("optimize_described_paa.json", ["--vector", "tests/golden/describe_paa.json",
+                                         "--starts", "4", "--grid-res", "40"]),
+    ])
+    def test_structured_golden(self, runner, monkeypatch, golden, args):
+        monkeypatch.chdir(Path(__file__).parents[1])  # config echoes relative paths
+        res = runner.invoke(main, ["--format", "structured", "optimize",
+                                   "--scenario", "pump_arbitrage", *args])
+        assert res.exit_code == 0, res.output
+        assert stable(res.output) == json.loads((GOLDEN / golden).read_text())
+
     def test_user_vector_file_solves_via_replay(self, runner, tmp_path):
         described = runner.invoke(main, ["describe", "--scenario", "pump_arbitrage",
                                          "--vector", "paa"])

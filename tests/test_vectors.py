@@ -2,11 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flashsim import vectors
 from flashsim.models import ConfigError
+from flashsim.optimize import closed_form_objective, grid_oracle
 from flashsim.scenario import scenario_from_dict
 from flashsim.vectors import (
     ActionStep,
@@ -26,6 +29,7 @@ from flashsim.vectors import (
 )
 
 RNG = np.random.default_rng(2020)
+DESCRIBED_PAA = Path(__file__).parent / "golden" / "describe_paa.json"
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +250,36 @@ class TestDescription:
         assert rows["s1_loan_liquidity"]["linear"]
         assert not rows["s3_price_cap"]["linear"]
         assert not rows["s5_debt_liquidity"]["linear"]
+
+    def test_one_replay_per_point(self, paa_state, monkeypatch):
+        replays = []
+        replay = vectors.evaluate
+        monkeypatch.setattr(vectors, "evaluate", lambda *args: replays.append(args) or replay(*args))
+        parsed = parse_vector(json.loads(DESCRIBED_PAA.read_text()), paa_state)
+        assert len(replays) <= 7  # one per distinct probe point
+        replays.clear()
+        grid_oracle(parsed, paa_state, 40)
+        # objective and every residual of a point share its replay
+        assert len(replays) <= 2 * 40 ** 2 + 1
+
+    def test_shared_replay_never_serves_another_point(self, paa, paa_state):
+        from concurrent.futures import ThreadPoolExecutor
+
+        parsed = parse_vector(json.loads(DESCRIBED_PAA.read_text()), paa_state)
+        objective = closed_form_objective(parsed, paa_state)
+        points = [(float(a), float(b)) for a in range(0, 7000, 700) for b in range(0, 1400, 280)]
+
+        def read(pair):
+            p, q = pair  # objective at p, then residuals at q, then the objective again
+            return objective(p), [c.fn(q) for c in parsed.constraints], objective(p)
+
+        pairs = list(zip(points, points[::-1]))
+        expected = [(evaluate(paa, paa_state, p).objective_value,
+                     [r.value for r in evaluate(paa, paa_state, q).residuals],
+                     evaluate(paa, paa_state, p).objective_value) for p, q in pairs]
+        assert [read(pair) for pair in pairs] == expected
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(read, pairs)) == expected
 
     def test_unknown_endpoint_rejected(self, paa, paa_state):
         doc = describe(paa)
