@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -64,10 +65,12 @@ class AddressMap:
         return self.entries.get(_normalize_address(address), UNKNOWN)
 
 
+_ADDRESS = re.compile(r"0x[0-9a-f]{40}")
+
+
 def _normalize_address(address: str) -> str:
-    candidate = address.strip().lower()
-    body = candidate[2:] if candidate.startswith("0x") else None
-    if body is None or len(body) != 40 or any(c not in "0123456789abcdef" for c in body):
+    candidate = address.strip().lower() if isinstance(address, str) else None
+    if candidate is None or _ADDRESS.fullmatch(candidate) is None:
         raise RecordError(f"malformed address {address!r}")
     return candidate
 

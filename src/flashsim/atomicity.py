@@ -15,11 +15,12 @@ and a replay file format stand in for them.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,13 +58,9 @@ class ArbOutcome:
     intermediaries: int
 
 
-def _outcome(aarb: float, naarb: float, hv: float, i: int) -> ArbOutcome:
-    return ArbOutcome(aarb, naarb, hv, aarb - (naarb - hv), i)
-
-
-# Pools are carried as plain floats internally; event streams reach millions
-# of applications per sweep and dataclass churn dominates otherwise.  A Y-in
-# trade is the constant-product kernel with the reserves swapped.
+# Pools are carried as plain floats, or as arrays with one entry per lane
+# when many event streams replay in lockstep.  A Y-in trade is the
+# constant-product kernel with the reserves swapped.
 
 class _Pools:
     __slots__ = ("ax", "ay", "afee", "bx", "by", "bfee")
@@ -74,7 +71,14 @@ class _Pools:
         self.afee = market.exchange_a.fee_rate
         self.bfee = market.exchange_b.fee_rate
 
-    def spot_mean(self) -> float:
+    def lanes(self, count: int) -> "_Pools":
+        """A copy with every reserve repeated over `count` lanes."""
+        lanes = copy.copy(self)
+        for name in ("ax", "ay", "bx", "by"):
+            setattr(lanes, name, np.full(count, getattr(self, name)))
+        return lanes
+
+    def spot_mean(self):
         return 0.5 * (self.ax / self.ay + self.bx / self.by)
 
     def buy_y(self, exchange: str, budget: float) -> float:
@@ -84,25 +88,25 @@ class _Pools:
             self.bx, self.by, out = constant_product_swap(self.bx, self.by, self.bfee, budget)
         return out
 
-    def sell_y(self, exchange: str, quantity: float) -> float:
+    def sell_y(self, exchange: str, quantity: float):
+        """Proceeds of selling `quantity` Y; the reserves are left as they are."""
         if exchange == "a":
-            self.ay, self.ax, out = constant_product_swap(self.ay, self.ax, self.afee, quantity)
-        else:
-            self.by, self.bx, out = constant_product_swap(self.by, self.bx, self.bfee, quantity)
-        return out
+            return constant_product_swap(self.ay, self.ax, self.afee, quantity)[2]
+        return constant_product_swap(self.by, self.bx, self.bfee, quantity)[2]
 
-    def apply(self, event: TradeEvent) -> None:
-        if event.exchange == "a":
-            if event.direction == "XY":
-                self.ax, self.ay, _ = constant_product_swap(self.ax, self.ay, self.afee, event.amount)
-            else:
-                self.ay, self.ax, _ = constant_product_swap(self.ay, self.ax, self.afee, event.amount)
-        elif event.exchange == "b":
-            if event.direction == "XY":
-                self.bx, self.by, _ = constant_product_swap(self.bx, self.by, self.bfee, event.amount)
-            else:
-                self.by, self.bx, _ = constant_product_swap(self.by, self.bx, self.bfee, event.amount)
-        # other exchange ids: irrelevant replay traffic, no-op
+    def step(self, xy: np.ndarray, amount_a: np.ndarray, amount_b: np.ndarray) -> None:
+        """Apply one event per lane; a lane whose event is elsewhere pays in 0."""
+        self.ax, self.ay = _swap_lanes(self.ax, self.ay, self.afee, xy, amount_a)
+        self.bx, self.by = _swap_lanes(self.bx, self.by, self.bfee, xy, amount_b)
+
+
+def _swap_lanes(rx, ry, fee: float, xy: np.ndarray, amount: np.ndarray):
+    """Pay `amount` of X (lanes where `xy`) or of Y into one pool: (new rx, new ry).
+
+    A zero amount leaves a lane's reserves bit-for-bit unchanged.
+    """
+    r_in, r_out, _ = constant_product_swap(np.where(xy, rx, ry), np.where(xy, ry, rx), fee, amount)
+    return np.where(xy, r_in, r_out), np.where(xy, r_out, r_in)
 
 
 def _cheap_exchange(market: TwoExchangeMarket) -> tuple[str, str]:
@@ -136,18 +140,77 @@ def non_atomic_arbitrage(
         raise ValueError(
             f"stream exhausted: need {i} events, have {len(stream)} (short by {i - len(stream)})"
         )
+    aarb, naarb, hv, difference = _replay(market, budget, [_event_block(stream[:i])], [i])
+    return ArbOutcome(aarb, float(naarb[0, 0]), float(hv[0, 0]), float(difference[0, 0]), i)
+
+
+# Event arrays code the exchange as 0 for a, 1 for b and 2 for irrelevant
+# replay traffic.  A block holds one lane per stream, step-major: the XY mask
+# and the amounts paid into a and into b (0 where the event is elsewhere).
+
+_EXCHANGE_CODES = {"a": 0, "b": 1}
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+_LANES = 128  # streams per block: event memory is _LANES x max(i), whatever the trial count
+
+
+def _block(lanes: Iterable[tuple[np.ndarray, ...]], count: int, steps: int) -> _Block:
+    """Step-major block of `count` lanes' first `steps` events.
+
+    Each lane comes as arrays of exchange code, XY mask and amount, and is
+    written in as it arrives, so only one lane's draws exist besides the block.
+    """
+    xy = np.empty((steps, count), dtype=bool)
+    amount_a, amount_b = np.empty((2, steps, count))
+    for lane, (exchange, is_xy, amount) in enumerate(lanes):
+        exchange, amount = exchange[:steps], amount[:steps]
+        xy[:, lane] = is_xy[:steps]
+        amount_a[:, lane] = np.where(exchange == 0, amount, 0.0)
+        amount_b[:, lane] = np.where(exchange == 1, amount, 0.0)
+    return xy, amount_a, amount_b
+
+
+def _event_block(events: Sequence[TradeEvent]) -> _Block:
+    """One-lane block of a recorded event sequence."""
+    lane = (
+        np.array([_EXCHANGE_CODES.get(e.exchange, 2) for e in events], dtype=np.int64),
+        np.array([e.direction == "XY" for e in events], dtype=bool),
+        np.array([e.amount for e in events], dtype=float),
+    )
+    return _block([lane], 1, len(events))
+
+
+def _replay(
+    market: TwoExchangeMarket, budget: float, blocks: Iterable[_Block], counts: Sequence[int]
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Run lanes of intermediary events between the two arbitrage legs, in lockstep.
+
+    Every block holds at least max(counts) steps; `counts` are sorted and
+    distinct.  The buy leg runs once; after each count of events every lane
+    sells and is read, its reserves left as they are, so a lane costs
+    max(counts) steps.  Returns aarb and (len(counts), lanes) arrays of naarb,
+    hv and the profit difference.
+    """
     aarb, _ = atomic_arbitrage(market, budget)
     buy_on, sell_on = _cheap_exchange(market)
-    pools = _Pools(market)
-    held = pools.buy_y(buy_on, budget)
-    mean_before = pools.spot_mean()
-    for event in stream[:i]:
-        pools.apply(event)
-    mean_after = pools.spot_mean()
-    proceeds = pools.sell_y(sell_on, held)
-    naarb = proceeds - budget
-    hv = held * (mean_after - mean_before)
-    return _outcome(aarb, naarb, hv, i)
+    bought = _Pools(market)
+    held = bought.buy_y(buy_on, budget)
+    mean_before = bought.spot_mean()
+    naarb, hv = [], []
+    for xy, amount_a, amount_b in blocks:
+        pools = bought.lanes(xy.shape[1])
+        block_naarb, block_hv = np.empty((2, len(counts), xy.shape[1]))
+        done = 0
+        for row, count in enumerate(counts):
+            for j in range(done, count):
+                pools.step(xy[j], amount_a[j], amount_b[j])
+            done = count
+            mean_after = pools.spot_mean()
+            block_naarb[row] = pools.sell_y(sell_on, held) - budget
+            block_hv[row] = held * (mean_after - mean_before)
+        naarb.append(block_naarb)
+        hv.append(block_hv)
+    naarb, hv = np.concatenate(naarb, axis=1), np.concatenate(hv, axis=1)
+    return aarb, naarb, hv, aarb - (naarb - hv)
 
 
 def optimal_trade_size(market: TwoExchangeMarket) -> float:
@@ -179,14 +242,25 @@ class SyntheticStream:
     sigma: float = 1.0
 
     def events(self, trial: int = 0) -> tuple[TradeEvent, ...]:
-        rng = np.random.default_rng((self.seed, trial))
-        exchanges = rng.choice(np.array(["a", "b"]), size=self.size)
-        directions = rng.choice(np.array(["XY", "YX"]), size=self.size)
-        amounts = self.amount_scale * rng.lognormal(mean=0.0, sigma=self.sigma, size=self.size)
+        exchanges, xy, amounts = self._draws(trial)
         return tuple(
-            TradeEvent(str(e), str(d), float(a))
-            for e, d, a in zip(exchanges, directions, amounts)
+            TradeEvent("ab"[e], "XY" if d else "YX", float(a))
+            for e, d, a in zip(exchanges, xy, amounts)
         )
+
+    def _draws(self, trial: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Trial `trial`'s events as arrays: exchange code, XY mask, amount."""
+        rng = np.random.default_rng((self.seed, trial))
+        exchanges = rng.choice(2, size=self.size)  # the draws of choice(["a", "b"])
+        xy = rng.choice(2, size=self.size) == 0  # the draws of choice(["XY", "YX"])
+        amounts = self.amount_scale * rng.lognormal(mean=0.0, sigma=self.sigma, size=self.size)
+        return exchanges, xy, amounts
+
+    def _blocks(self, trials: int, steps: int) -> Iterator[_Block]:
+        """Blocks of up to _LANES trials, cut to their first `steps` events."""
+        for first in range(0, trials, _LANES):
+            last = min(first + _LANES, trials)
+            yield _block((self._draws(t) for t in range(first, last)), last - first, steps)
 
 
 @dataclass(frozen=True)
@@ -270,25 +344,32 @@ def sweep(
     """Mean and 95% bootstrap CI of the profit difference per intermediary count.
 
     Each trial replays one stream; all i-values share a trial's stream so
-    the profit difference accumulates along a common path.
+    the profit difference accumulates along a common path.  Trials run as
+    lanes of one lockstep replay, each once over the sorted i-values; every
+    row, a repeated i-value's too, rests on exactly `trials` samples.
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
     i_values = list(i_values)
     needed = max(i_values, default=0)
-    per_i: dict[int, list[float]] = {i: [] for i in i_values}
-    for trial in range(trials):
-        events = stream.events(trial)
-        if len(events) < needed:
-            raise ValueError(
-                f"stream exhausted: need {needed} events, have {len(events)} "
-                f"(short by {needed - len(events)})"
-            )
-        for i in i_values:
-            per_i[i].append(non_atomic_arbitrage(market, budget, events, i).profit_difference)
+    replay = isinstance(stream, ReplayStream)
+    have = len(stream.trace) if replay else stream.size
+    if have < needed:
+        raise ValueError(
+            f"stream exhausted: need {needed} events, have {have} (short by {needed - have})"
+        )
+    for i in i_values:
+        if i < 0:
+            raise ConfigError(f"intermediary count must be >= 0, got {i}")
+    counts = sorted(set(i_values))
+    if replay:  # every trial replays the identical sequence: one lane stands for all
+        *_, differences = _replay(market, budget, [_event_block(stream.trace[:needed])], counts)
+        differences = np.repeat(differences, trials, axis=1)
+    else:
+        *_, differences = _replay(market, budget, stream._blocks(trials, needed), counts)
     rows = []
     for i in i_values:
-        samples = np.array(per_i[i])
+        samples = differences[counts.index(i)]
         if trials == 1:
             low = high = float(samples[0])
         else:

@@ -54,6 +54,31 @@ class TestClassify:
         with pytest.raises(RecordError):
             classify(record(touched=["banana"]), AddressMap.bundled())
 
+    @pytest.mark.parametrize("address", [123, None, 1.5, ["0x" + "ab" * 20], b"0x" + b"ab" * 20])
+    def test_non_string_address_raises_record_error(self, address):
+        with pytest.raises(RecordError):
+            classify(record(touched=[address]), AddressMap.bundled())
+
+    def test_address_verdicts_match_the_character_rule(self):
+        # "0x" and exactly 40 of 0-9a-f after lower-casing; int(body, 16)
+        # would wrongly accept "_" and "+", and unicode digits
+        body = "ab" * 20
+        candidates = ["0x" + body, "0X" + body.upper(), f"  0x{body}\n", "0x" + body[:-1],
+                      "0x" + body + "0", "x0" + body, body + "00", "0x" + body[:-1] + "g",
+                      "0x" + body[:-1] + "_", "0x+" + body[:-1], "0x" + body[:-1] + "\u0661",
+                      "0x" + body[:-1] + "\uff21", "0x 0" + body[:-2], "0x", ""]
+        m = AddressMap.bundled()
+        for address in candidates:
+            candidate = address.strip().lower()
+            body_part = candidate[2:]
+            valid = (candidate.startswith("0x") and len(body_part) == 40
+                     and all(c in "0123456789abcdef" for c in body_part))
+            if valid:
+                assert m.project(address) == "Unknown", address
+            else:
+                with pytest.raises(RecordError):
+                    m.project(address)
+
 
 class TestAggregate:
     def test_single_set_usd_sum(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashsim import atomicity
 from flashsim.atomicity import (
     ReplayStream,
     SyntheticStream,
@@ -21,7 +22,7 @@ from flashsim.atomicity import (
     parse_trace,
     sweep,
 )
-from flashsim.models import ConfigError, ConstantProductAmm
+from flashsim.models import ConfigError, ConstantProductAmm, constant_product_swap
 
 GOLDEN = Path(__file__).parent / "golden" / "atomicity_sweep.json"
 TRACE = Path(__file__).parents[1] / "src" / "flashsim" / "data" / "sample_trades.csv"
@@ -212,6 +213,118 @@ class TestSweep:
     def test_exhaustion_detected_before_any_work(self):
         with pytest.raises(ValueError, match="stream exhausted"):
             sweep(market(), 2.0, SyntheticStream(seed=1, size=5), [0, 50], trials=2)
+
+
+def reference_differences(m: TwoExchangeMarket, budget: float, events, i_values) -> list[float]:
+    """Scalar reference: a plain loop over the swap kernel, one fresh pass per i."""
+    fee = {"a": m.exchange_a.fee_rate, "b": m.exchange_b.fee_rate}
+    start = {"a": (m.exchange_a.reserve_x, m.exchange_a.reserve_y),
+             "b": (m.exchange_b.reserve_x, m.exchange_b.reserve_y)}
+    spot = {e: rx / ry for e, (rx, ry) in start.items()}
+    buy_on, sell_on = ("a", "b") if spot["a"] <= spot["b"] else ("b", "a")
+
+    def spot_mean(pools):
+        return 0.5 * (pools["a"][0] / pools["a"][1] + pools["b"][0] / pools["b"][1])
+
+    def naarb_and_hv(between):
+        pools = dict(start)
+        rx, ry, held = constant_product_swap(*pools[buy_on], fee[buy_on], budget)
+        pools[buy_on] = (rx, ry)
+        before = spot_mean(pools)
+        for event in between:
+            if event.exchange not in pools:
+                continue
+            rx, ry = pools[event.exchange]
+            if event.direction == "XY":
+                rx, ry, _ = constant_product_swap(rx, ry, fee[event.exchange], event.amount)
+            else:
+                ry, rx, _ = constant_product_swap(ry, rx, fee[event.exchange], event.amount)
+            pools[event.exchange] = (rx, ry)
+        after = spot_mean(pools)
+        rx, ry = pools[sell_on]
+        proceeds = constant_product_swap(ry, rx, fee[sell_on], held)[2]
+        return proceeds - budget, held * (after - before)
+
+    aarb, _ = naarb_and_hv(())
+    differences = []
+    for i in i_values:
+        naarb, hv = naarb_and_hv(events[:i])
+        differences.append(aarb - (naarb - hv))
+    return differences
+
+
+def fee_market():
+    return TwoExchangeMarket(
+        ConstantProductAmm("ETH", "DAI", 100.0, 35000.0, fee_rate=0.003),
+        ConstantProductAmm("ETH", "DAI", 120.0, 36000.0, fee_rate=0.01),
+    )
+
+
+NOISY_TRACE = ReplayStream(tuple(
+    TradeEvent(exchange, direction, amount)
+    for exchange, direction, amount in zip(
+        ["a", "cex", "b", "b", "other", "a", "a", "cex", "b", "a"] * 3,
+        ["XY", "YX", "YX", "XY", "XY", "YX", "XY", "XY", "YX", "YX"] * 3,
+        [0.7, 3.0, 250.0, 1.3, 9.0, 410.0, 0.2, 5.0, 90.0, 33.0] * 3,
+    )
+))
+
+
+class TestLockstepSweep:
+    """The sweep's per-trial profit differences are the scalar replay's, bit for bit."""
+
+    @pytest.mark.parametrize("m, stream, i_values, trials", [
+        # fees, a trial count past the lane block, unsorted i, stream longer than max(i)
+        (fee_market(), SyntheticStream(seed=11, size=60, amount_scale=0.7), [40, 0, 7, 25], 130),
+        # i = 0 and i = the stream length
+        (market(), SyntheticStream(seed=12, size=30, sigma=0.5), [30, 0, 1], 3),
+        # a replay whose irrelevant exchange ids must leave both pools alone
+        (fee_market(), NOISY_TRACE, [len(NOISY_TRACE.trace), 0, 3, 14], 4),
+    ])
+    def test_matches_scalar_reference(self, monkeypatch, m, stream, i_values, trials):
+        captured = []
+
+        def capture(samples, rng, n_resamples=1000, alpha=0.05):
+            captured.append(np.array(samples))
+            return 0.0, 0.0
+
+        monkeypatch.setattr(atomicity, "bootstrap_mean_ci", capture)
+        rows = sweep(m, 2.0, stream, i_values, trials)
+        expected = np.ascontiguousarray(np.array(
+            [reference_differences(m, 2.0, stream.events(t), i_values) for t in range(trials)]).T)
+        assert [r.intermediaries for r in rows] == i_values
+        assert len(captured) == len(i_values)
+        for row, samples, reference in zip(rows, captured, expected):
+            assert samples.tobytes() == reference.tobytes()
+            assert row.mean == float(reference.mean())
+            assert row.trials == trials
+        assert np.any(expected != 0.0)
+
+    def test_one_lane_call_matches_scalar_reference(self):
+        m = fee_market()
+        events = NOISY_TRACE.trace
+        for i in (0, 5, len(events)):
+            outcome = non_atomic_arbitrage(m, 2.0, events, i)
+            assert outcome.profit_difference == reference_differences(m, 2.0, events, [i])[0]
+
+    def test_synthetic_sweep_builds_no_events(self, monkeypatch):
+        def no_events(self, trial=0):
+            raise AssertionError("sweep built TradeEvent objects")
+
+        lanes = []
+        block = atomicity._block
+
+        def counting_block(draws, count, steps):
+            lanes.append(count)
+            return block(draws, count, steps)
+
+        monkeypatch.setattr(SyntheticStream, "events", no_events)
+        monkeypatch.setattr(atomicity, "_block", counting_block)
+        trials = 2 * atomicity._LANES + 5
+        rows = sweep(market(), 2.0, SyntheticStream(seed=6, size=50), [50, 10], trials)
+        assert [r.trials for r in rows] == [trials, trials]
+        # memory is bounded by the lane block, not by the trial count
+        assert lanes == [atomicity._LANES, atomicity._LANES, 5]
 
 
 class TestTraces:

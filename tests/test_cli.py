@@ -177,6 +177,18 @@ class TestAtomicity:
         res = runner.invoke(main, ["atomicity", "--market", "no-such.json", "--budget", "1"])
         assert res.exit_code == 2
 
+    def test_repeated_i_value_rests_on_trials_samples(self, runner):
+        # a repeated i once pooled both copies into a 74-sample bootstrap
+        args = ["--format", "structured", "atomicity", "--market", str(GOLDEN / "market.json"),
+                "--budget", "2", "--trials", "37", "--stream-size", "900", "--i-values"]
+        repeated = runner.invoke(main, [*args, "700,5,0,5"])
+        once = runner.invoke(main, [*args, "700,5,0"])
+        assert repeated.exit_code == once.exit_code == 0
+        rows = stable(repeated.output)["results"]["rows"]
+        assert rows[1] == rows[3]
+        assert rows[:3] == stable(once.output)["results"]["rows"]
+        assert rows[1]["ci_low"] == pytest.approx(-0.020694, abs=1e-6)
+
 
 class TestClassify:
     def test_structured_golden(self, runner, monkeypatch):
@@ -192,6 +204,16 @@ class TestClassify:
         res = runner.invoke(main, ["classify", "--input", "-"], input=line + "\n")
         assert res.exit_code == 0, res.output
         assert "Total" in res.output
+
+    def test_non_string_address_is_a_classification_error(self, runner):
+        lines = [json.dumps({"tx": tx, "touched": touched, "asset": "ETH", "amount": 1.0, "gas": 5.0})
+                 for tx, touched in (("0x1", [123]), ("0x2", []))]
+        res = runner.invoke(main, ["--format", "structured", "classify", "--input", "-"],
+                            input="\n".join(lines) + "\n")
+        assert res.exit_code == 0, res.output
+        results = stable(res.output)["results"]
+        assert results["classification_errors"] == ["0x1: malformed address 123"]
+        assert results["parse_errors"] == []
 
 
 class TestDescribe:
