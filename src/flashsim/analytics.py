@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .models import ConfigError
+from .models import ConfigError, as_number, expect_type
 
 UNKNOWN = "Unknown"
 OTHERS = "Others"
@@ -47,9 +47,11 @@ class AddressMap:
                 continue
             try:
                 address, project = (part.strip() for part in line.split(",", 1))
+                entries[_normalize_address(address)] = project
             except ValueError:
                 raise ConfigError(f"address map line {n}: expected 'address,project'") from None
-            entries[_normalize_address(address)] = project
+            except RecordError as exc:
+                raise ConfigError(f"address map line {n}: {exc}") from None
         return AddressMap(entries)
 
     @staticmethod
@@ -85,8 +87,8 @@ class PriceTable:
 
     @staticmethod
     def from_file(path: str | Path) -> "PriceTable":
-        doc = json.loads(Path(path).read_text())
-        table = {asset: float(price) for asset, price in doc.items()}
+        doc = expect_type(json.loads(Path(path).read_text()), dict, f"price file {path}")
+        table = {asset: as_number(price, f"price of {asset!r}") for asset, price in doc.items()}
         if any(p <= 0 for p in table.values()):
             raise ConfigError("prices must be positive")
         return PriceTable(table)

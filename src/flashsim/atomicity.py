@@ -18,13 +18,15 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .models import ConfigError, ConstantProductAmm, constant_product_swap
+from .models import ConfigError, ConstantProductAmm, constant_product_swap, expect_type
+from .scenario import build_pool
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,17 @@ class TwoExchangeMarket:
         for amm in (self.exchange_a, self.exchange_b):
             if amm.reserve_x <= 0 or amm.reserve_y <= 0:
                 raise ConfigError("both exchanges need positive reserves")
+
+
+def load_market(path: str | Path) -> TwoExchangeMarket:
+    """Read a market file: the pair `x`, `y` and one constant-product stanza
+    (`uX`, `uY`, optional `fee`) under each of `exchange_a` and `exchange_b`."""
+    doc = expect_type(json.loads(Path(path).read_text()), dict, f"market {path}")
+    pair = {"type": "constant_product", "x": doc.get("x", "X"), "y": doc.get("y", "Y")}
+    return TwoExchangeMarket(*(
+        build_pool(name, {**expect_type(doc.get(name), dict, f"market {path}: {name}"), **pair})
+        for name in ("exchange_a", "exchange_b")
+    ))
 
 
 @dataclass(frozen=True)
@@ -119,13 +132,16 @@ def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, f
     """Buy Y with `budget` X where it is cheap, sell it on the other exchange.
 
     Returns (profit, quantity held between the two legs).  With no price gap
-    the profit is simply <= 0; that is a result, not an error.
+    the profit is simply <= 0; that is a result, not an error.  The budget
+    must be finite and positive and leave the bought pool some Y.
     """
-    if budget <= 0:
-        raise ConfigError(f"budget must be positive, got {budget}")
+    if not 0 < budget < np.inf:
+        raise ConfigError(f"budget must be finite and positive, got {budget}")
     buy_on, sell_on = _cheap_exchange(market)
     pools = _Pools(market)
     held = pools.buy_y(buy_on, budget)
+    if not (pools.ay if buy_on == "a" else pools.by) > 0:
+        raise ConfigError(f"budget {budget:g} drains exchange {buy_on}'s Y reserve")
     proceeds = pools.sell_y(sell_on, held)
     return proceeds - budget, held
 
@@ -290,8 +306,8 @@ def parse_trace(text: str) -> ReplayStream:
             value = float(amount)
         except ValueError:
             raise ConfigError(f"trace line {line_no}: bad amount {amount!r}") from None
-        if value <= 0:
-            raise ConfigError(f"trace line {line_no}: amount must be positive")
+        if not 0 < value < np.inf:
+            raise ConfigError(f"trace line {line_no}: amount must be finite and positive")
         events.append(TradeEvent(exchange, direction, value))
     return ReplayStream(tuple(events))
 
@@ -326,6 +342,8 @@ def bootstrap_mean_ci(
     samples: np.ndarray, rng: np.random.Generator, n_resamples: int = 1000, alpha: float = 0.05
 ) -> tuple[float, float]:
     """Percentile bootstrap confidence interval of the sample mean."""
+    if n_resamples < 1:
+        raise ConfigError(f"need at least one bootstrap resample, got {n_resamples}")
     samples = np.asarray(samples, dtype=float)
     idx = rng.integers(0, len(samples), size=(n_resamples, len(samples)))
     means = samples[idx].mean(axis=1)

@@ -3,16 +3,19 @@
 Every command emits a run report echoing its inputs (with content hashes)
 next to its results, so a report is reproducible byte-for-byte under a
 fixed seed once timing fields are dropped.  Exit codes: 0 success, 1
-infeasible or strict-mode violation, 2 unusable input.
+infeasible or strict-mode violation, 2 unusable input.  One runner,
+`_command`, times each command, maps unusable input to exit 2, builds
+the report and renders it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -21,57 +24,21 @@ import numpy as np
 import scipy
 
 from . import __version__, analytics, atomicity
-from .models import ConfigError, ConstantProductAmm, STRICT_RESIDUAL_TOL
+from .models import ConfigError, STRICT_RESIDUAL_TOL
 from .optimize import FEASIBILITY_TOL, OptimizationResult, SolverConfig, grid_oracle, problem, solve
 from .scenario import BUILTIN_SCENARIOS, builtin_scenario, load_scenario
-from .vectors import (
-    BUILTIN_VECTORS,
-    AttackVector,
-    EvaluationError,
-    describe,
-    evaluate,
-    parse_vector,
-    with_bounds,
-)
+from .vectors import BUILTIN_VECTORS, AttackVector, EvaluationError, describe, evaluate, parse_vector, with_bounds
 
 AGREEMENT_THRESHOLD = 0.02
 
-
-@dataclass
-class RunReport:
-    command: str
-    config: dict
-    config_hash: str
-    scenario_hash: str | None
-    results: dict
-    versions: dict
-    wall_time_s: float
-
-    def payload(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "scenario_hash": self.scenario_hash,
-            "results": self.results,
-            "versions": self.versions,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    def stable_payload(self) -> dict:
-        payload = self.payload()
-        del payload["wall_time_s"]
-        del payload["versions"]
-        return payload
+# What unusable input raises.  Loaders turn shape errors into ConfigError where
+# they parse, so any other exception is a bug and keeps its traceback.
+INPUT_ERRORS = (ConfigError, EvaluationError, ValueError, OSError)
 
 
 def _versions() -> dict:
-    return {
-        "flashsim": __version__,
-        "python": ".".join(map(str, sys.version_info[:3])),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
+    return {"flashsim": __version__, "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _hash_config(command: str, config: dict) -> str:
@@ -83,36 +50,40 @@ def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _fail(message: str, code: int = 2):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+@contextmanager
+def _unusable_input():
+    """Exit 2 with one `error:` line on stderr if the block raises an input error."""
+    try:
+        yield
+    except INPUT_ERRORS as exc:
+        click.echo(f"error: {' '.join(str(exc).splitlines())}", err=True)
+        sys.exit(2)
 
 
 def _resolve_scenario(value: str):
+    """(initial state, sha256 of the scenario file) for a bundled name or a path."""
     if value in BUILTIN_SCENARIOS:
         raw = resources.files("flashsim.data").joinpath(f"{value}.json").read_bytes()
-        state, doc = builtin_scenario(value)
+        state, _ = builtin_scenario(value)
     else:
         path = Path(value)
         if not path.exists():
             raise ConfigError(f"scenario {value!r} is neither a bundled name nor a file")
         raw = path.read_bytes()
-        state, doc = load_scenario(path)
-    return state, doc, _hash_bytes(raw)
+        state, _ = load_scenario(path)
+    return state, _hash_bytes(raw)
 
 
 def _resolve_vector(value: str, state, zy_cap: bool) -> AttackVector:
+    if zy_cap and value != "oracle":
+        raise ConfigError("--zy-cap only applies to the oracle vector")
+    if value == "oracle":
+        return BUILTIN_VECTORS[value](state, zy_cap=zy_cap)
     if value in BUILTIN_VECTORS:
-        if value == "oracle":
-            return BUILTIN_VECTORS[value](state, zy_cap=zy_cap)
-        if zy_cap:
-            raise ConfigError("--zy-cap only applies to the oracle vector")
         return BUILTIN_VECTORS[value](state)
     path = Path(value)
     if not path.exists():
         raise ConfigError(f"vector {value!r} is neither a built-in name nor a file")
-    if zy_cap:
-        raise ConfigError("--zy-cap only applies to the oracle vector")
     return parse_vector(json.loads(path.read_text()), state)
 
 
@@ -137,16 +108,6 @@ def _result_text(label: str, res: OptimizationResult) -> list[str]:
     ]
 
 
-def _emit(ctx, report: RunReport, text_lines: list[str], csv_lines: list[str] | None = None):
-    fmt = ctx.obj["format"]
-    if fmt == "structured":
-        click.echo(json.dumps(report.payload(), sort_keys=True, indent=2))
-    elif fmt == "csv" and csv_lines is not None:
-        click.echo("\n".join(csv_lines))
-    else:
-        click.echo("\n".join(text_lines))
-
-
 @click.group()
 @click.option("--seed", default=0, show_default=True, help="Master seed for every stochastic component.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "structured"]), default="text",
@@ -158,7 +119,35 @@ def main(ctx, seed, fmt, strict):
     ctx.obj = {"seed": seed, "format": fmt, "strict": strict}
 
 
-@main.command()
+def _command(name: str):
+    """Register `body(obj, **options)` as the command `name`.
+
+    The body returns (config echo, input hash, results, text lines, csv
+    lines, exit code); the runner adds the seed to the echo and owns the
+    timer, the exit on unusable input, the report and its rendering.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(**options):
+            obj = click.get_current_context().obj
+            started = time.perf_counter()
+            with _unusable_input():
+                config, input_hash, results, text, csv, code = body(obj, **options)
+            config["seed"] = obj["seed"]
+            report = {"command": name, "config": config, "config_hash": _hash_config(name, config),
+                      "scenario_hash": input_hash, "results": results, "versions": _versions(),
+                      "wall_time_s": time.perf_counter() - started}
+            if obj["format"] == "structured":
+                click.echo(json.dumps(report, sort_keys=True, indent=2))
+            else:
+                click.echo("\n".join(csv if obj["format"] == "csv" else text))
+            if code:
+                sys.exit(code)
+        return main.command(name)(run)
+    return register
+
+
+@_command("optimize")
 @click.option("--scenario", required=True, help="Bundled scenario name or JSON file.")
 @click.option("--vector", "vector_name", required=True, help="Built-in vector (paa, oracle) or description file.")
 @click.option("--ignore-constraint", "ignored", multiple=True, help="Constraint name to drop from the solve.")
@@ -170,28 +159,18 @@ def main(ctx, seed, fmt, strict):
 @click.option("--fd-step", default=1e-4, show_default=True)
 @click.option("--starts", default=16, show_default=True)
 @click.option("--grid-res", default=0, help="Grid oracle resolution (0 = auto by dimension).")
-@click.pass_context
-def optimize(ctx, scenario, vector_name, ignored, bound_overrides, zy_cap, method,
+def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, method,
              max_iter, tol, fd_step, starts, grid_res):
     """Solve for profit-maximizing parameters, certified by the grid oracle."""
-    started = time.perf_counter()
-    try:
-        state, _, scenario_hash = _resolve_scenario(scenario)
-        vector = _resolve_vector(vector_name, state, zy_cap)
-        overrides = dict(_parse_bound(b) for b in bound_overrides)
-        vector = with_bounds(vector, overrides)
-        config = SolverConfig(max_iterations=max_iter, tolerance=tol, fd_step=fd_step,
-                              starts=starts, seed=ctx.obj["seed"])
-        resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        _fail(str(exc))
-
-    try:
-        best = solve(vector, state, config, ignore=ignored, method=method)
-        grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
-        prob = problem(vector, state, ignored)
-    except (ConfigError, EvaluationError, ValueError) as exc:
-        _fail(str(exc))
+    state, scenario_hash = _resolve_scenario(scenario)
+    vector = with_bounds(_resolve_vector(vector_name, state, zy_cap),
+                         dict(_parse_bound(b) for b in bound_overrides))
+    config = SolverConfig(max_iterations=max_iter, tolerance=tol, fd_step=fd_step,
+                          starts=starts, seed=obj["seed"])
+    resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
+    best = solve(vector, state, config, ignore=ignored, method=method)
+    grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
+    prob = problem(vector, state, ignored)
 
     rel_gap = None
     disagreement = False
@@ -223,7 +202,7 @@ def optimize(ctx, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
         "scenario": scenario, "vector": vector_name, "ignore": sorted(ignored),
         "bounds": sorted(bound_overrides), "zy_cap": zy_cap, "method": method,
         "max_iter": max_iter, "tol": tol, "fd_step": fd_step, "starts": starts,
-        "grid_res": resolution, "seed": ctx.obj["seed"],
+        "grid_res": resolution,
     }
     results = {
         "solver": best.as_dict(),
@@ -233,8 +212,6 @@ def optimize(ctx, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
         "constraints": constraint_rows,
         "notes": notes,
     }
-    report = RunReport("optimize", config_echo, _hash_config("optimize", config_echo),
-                       scenario_hash, results, _versions(), time.perf_counter() - started)
 
     lines = ["command: optimize", f"scenario: {scenario} (sha256 {scenario_hash[:12]})",
              f"vector: {vector.name} ({vector.n_params} free parameter(s))", ""]
@@ -245,56 +222,41 @@ def optimize(ctx, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
         if rel_gap is not None:
             verdict = "DISAGREEMENT" if disagreement else "ok"
             lines.append(f"agreement: {rel_gap:.3%} ({verdict}, threshold {AGREEMENT_THRESHOLD:.0%})")
-    lines.append("")
-    lines.append("constraints at solver optimum:")
+    lines += ["", "constraints at solver optimum:"]
     for row in constraint_rows:
         kind = "linear" if row["linear"] else "nonlinear"
         suffix = "  [ignored]" if row["ignored"] else ""
         lines.append(f"  {row['name']:<8} {kind:<9} step {row['step']}  value {row['value_at_best']:.6g}{suffix}")
-    for note in notes:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in notes]
 
-    csv_lines = ["key,value"]
-    csv_lines += [f"solver_objective,{best.best_objective!r}",
-                  f"solver_params,{' '.join(map(repr, best.best_params))}",
-                  f"solver_feasible,{best.feasible}"]
+    csv_lines = ["key,value", f"solver_objective,{best.best_objective!r}",
+                 f"solver_params,{' '.join(map(repr, best.best_params))}",
+                 f"solver_feasible,{best.feasible}"]
     if grid is not None:
-        csv_lines += [f"grid_objective,{grid.best_objective!r}"]
+        csv_lines.append(f"grid_objective,{grid.best_objective!r}")
 
-    _emit(ctx, report, lines, csv_lines)
-    if not best.feasible:
-        sys.exit(1)
+    return config_echo, scenario_hash, results, lines, csv_lines, 0 if best.feasible else 1
 
 
-@main.command("evaluate")
+@_command("evaluate")
 @click.option("--scenario", required=True)
 @click.option("--vector", "vector_name", required=True)
 @click.option("--zy-cap", is_flag=True)
 @click.argument("params", nargs=-1, type=float, required=True)
-@click.pass_context
-def evaluate_cmd(ctx, scenario, vector_name, zy_cap, params):
+def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
     """Replay a vector at fixed parameters and print the full trace."""
-    started = time.perf_counter()
-    try:
-        state, _, scenario_hash = _resolve_scenario(scenario)
-        vector = _resolve_vector(vector_name, state, zy_cap)
-        if len(params) != vector.n_params:
-            raise ConfigError(f"vector {vector.name!r} needs {vector.n_params} parameter(s)")
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        _fail(str(exc))
-    try:
-        trace = evaluate(vector, state, params)
-    except (EvaluationError, ValueError) as exc:
-        _fail(str(exc))
+    state, scenario_hash = _resolve_scenario(scenario)
+    vector = _resolve_vector(vector_name, state, zy_cap)
+    if len(params) != vector.n_params:
+        raise ConfigError(f"vector {vector.name!r} needs {vector.n_params} parameter(s)")
+    trace = evaluate(vector, state, params)
 
     assets = sorted({asset for state in trace.states for _, asset in state.ledger.entries})
-    step_rows = []
-    for state_i, step in zip(trace.states, ["initial"] + [s.label for s in vector.steps]):
-        step_rows.append({
-            "step": state_i.step_index,
-            "label": step,
-            "balances": {asset: state_i.balance(vector.actor, asset) for asset in assets},
-        })
+    step_rows = [
+        {"step": state_i.step_index, "label": label,
+         "balances": {asset: state_i.balance(vector.actor, asset) for asset in assets}}
+        for state_i, label in zip(trace.states, ["initial"] + [s.label for s in vector.steps])
+    ]
     residual_rows = [
         {"step": r.step, "name": r.name, "value": r.value, "satisfied": r.value >= -STRICT_RESIDUAL_TOL}
         for r in trace.residuals
@@ -302,35 +264,29 @@ def evaluate_cmd(ctx, scenario, vector_name, zy_cap, params):
     violated = [r for r in residual_rows if not r["satisfied"]]
 
     config_echo = {"scenario": scenario, "vector": vector_name, "params": list(params),
-                   "zy_cap": zy_cap, "strict": ctx.obj["strict"], "seed": ctx.obj["seed"]}
+                   "zy_cap": zy_cap, "strict": obj["strict"]}
     results = {"objective": trace.objective_value, "objective_name": vector.objective_name,
                "steps": step_rows, "residuals": residual_rows,
                "violated_count": len(violated)}
-    report = RunReport("evaluate", config_echo, _hash_config("evaluate", config_echo),
-                       scenario_hash, results, _versions(), time.perf_counter() - started)
 
     lines = ["command: evaluate", f"scenario: {scenario} (sha256 {scenario_hash[:12]})",
              f"vector: {vector.name}  params: {', '.join(f'{p:g}' for p in params)}", ""]
     for row in step_rows:
         balances = "  ".join(f"{a}={row['balances'][a]:,.6f}" for a in assets)
         lines.append(f"S{row['step']}: {row['label']:<28} {balances}")
-    lines.append("")
-    lines.append("residuals:")
+    lines += ["", "residuals:"]
     for row in residual_rows:
         marker = "" if row["satisfied"] else "  <-- VIOLATED"
         lines.append(f"  step {row['step']}  {row['name']:<20} {row['value']:,.6f}{marker}")
-    lines.append("")
-    lines.append(f"{vector.objective_name}: {trace.objective_value:,.6f}")
+    lines += ["", f"{vector.objective_name}: {trace.objective_value:,.6f}"]
 
     csv_lines = ["step,name,value"] + [f"{r['step']},{r['name']},{r['value']!r}" for r in residual_rows]
     csv_lines.append(f"objective,,{trace.objective_value!r}")
 
-    _emit(ctx, report, lines, csv_lines)
-    if ctx.obj["strict"] and violated:
-        sys.exit(1)
+    return config_echo, scenario_hash, results, lines, csv_lines, 1 if obj["strict"] and violated else 0
 
 
-@main.command("atomicity")
+@_command("atomicity")
 @click.option("--market", "market_file", required=True, help="JSON file with exchange_a/exchange_b pools.")
 @click.option("--budget", required=True, type=float)
 @click.option("--i-values", default="0,10,100", show_default=True, help="Comma-separated intermediary counts.")
@@ -340,47 +296,27 @@ def evaluate_cmd(ctx, scenario, vector_name, zy_cap, params):
 @click.option("--amount-scale", default=1.0, show_default=True)
 @click.option("--sigma", default=1.0, show_default=True)
 @click.option("--bootstrap-samples", default=1000, show_default=True)
-@click.pass_context
-def atomicity_cmd(ctx, market_file, budget, i_values, trials, replay_file,
+def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file,
                   stream_size, amount_scale, sigma, bootstrap_samples):
     """Sweep the arbitrage profit difference over intermediary counts."""
-    started = time.perf_counter()
-    try:
-        doc = json.loads(Path(market_file).read_text())
-        x, y = doc.get("x", "X"), doc.get("y", "Y")
-
-        def pool(stanza: dict) -> ConstantProductAmm:
-            return ConstantProductAmm(x, y, float(stanza["uX"]), float(stanza["uY"]),
-                                      float(stanza.get("fee", 0.0)))
-
-        market = atomicity.TwoExchangeMarket(pool(doc["exchange_a"]), pool(doc["exchange_b"]))
-        counts = [int(v) for v in i_values.split(",") if v.strip() != ""]
-        if budget <= 0:
-            raise ConfigError("budget must be positive")
-        if replay_file is not None:
-            stream = atomicity.load_trace(replay_file)
-        else:
-            stream = atomicity.SyntheticStream(
-                seed=ctx.obj["seed"], size=stream_size or max(counts, default=0),
-                amount_scale=amount_scale, sigma=sigma,
-            )
-        market_hash = _hash_bytes(Path(market_file).read_bytes())
-    except (ConfigError, KeyError, ValueError, json.JSONDecodeError, OSError) as exc:
-        _fail(str(exc))
-
-    try:
-        rows = atomicity.sweep(market, budget, stream, counts, trials,
-                               bootstrap_samples=bootstrap_samples)
-    except (ConfigError, ValueError) as exc:
-        _fail(str(exc))
+    market = atomicity.load_market(market_file)
+    counts = [int(v) for v in i_values.split(",") if v.strip() != ""]
+    if replay_file is not None:
+        stream = atomicity.load_trace(replay_file)
+    else:
+        stream = atomicity.SyntheticStream(
+            seed=obj["seed"], size=stream_size or max(counts, default=0),
+            amount_scale=amount_scale, sigma=sigma,
+        )
+    market_hash = _hash_bytes(Path(market_file).read_bytes())
+    rows = atomicity.sweep(market, budget, stream, counts, trials,
+                           bootstrap_samples=bootstrap_samples)
 
     config_echo = {"market": market_file, "budget": budget, "i_values": counts,
                    "trials": trials, "replay": replay_file, "stream_size": stream_size,
                    "amount_scale": amount_scale, "sigma": sigma,
-                   "bootstrap_samples": bootstrap_samples, "seed": ctx.obj["seed"]}
+                   "bootstrap_samples": bootstrap_samples}
     results = {"rows": [r.as_dict() for r in rows]}
-    report = RunReport("atomicity", config_echo, _hash_config("atomicity", config_echo),
-                       market_hash, results, _versions(), time.perf_counter() - started)
 
     lines = ["command: atomicity", f"market: {market_file} (sha256 {market_hash[:12]})",
              f"budget: {budget:g}  trials: {trials}", "",
@@ -391,60 +327,44 @@ def atomicity_cmd(ctx, market_file, budget, i_values, trials, replay_file,
     csv_lines = ["i,mean,ci_low,ci_high,trials"] + [
         f"{r.intermediaries},{r.mean!r},{r.ci_low!r},{r.ci_high!r},{r.trials}" for r in rows
     ]
-    _emit(ctx, report, lines, csv_lines)
+    return config_echo, market_hash, results, lines, csv_lines, 0
 
 
-@main.command("classify")
+@_command("classify")
 @click.option("--input", "input_file", default="-", show_default=True,
               help="JSONL loan records ('-' for stdin).")
 @click.option("--map", "map_file", default=None, help="address,project lines (default: bundled).")
 @click.option("--prices", "prices_file", default=None, help="JSON asset->USD file (default: bundled).")
-@click.pass_context
-def classify_cmd(ctx, input_file, map_file, prices_file):
+def classify_cmd(obj, input_file, map_file, prices_file):
     """Aggregate flash-loan records by the platform sets they touch."""
-    started = time.perf_counter()
-    try:
-        addr_map = analytics.AddressMap.from_file(map_file) if map_file else analytics.AddressMap.bundled()
-        prices = analytics.PriceTable.from_file(prices_file) if prices_file else analytics.PriceTable.default()
-        if input_file == "-":
-            text = sys.stdin.read()
-            input_hash = _hash_bytes(text.encode())
-        else:
-            text = Path(input_file).read_text()
-            input_hash = _hash_bytes(text.encode())
-        records, parse_errors = analytics.parse_records(text.splitlines())
-    except (ConfigError, json.JSONDecodeError, OSError, ValueError) as exc:
-        _fail(str(exc))
-
+    addr_map = analytics.AddressMap.from_file(map_file) if map_file else analytics.AddressMap.bundled()
+    prices = analytics.PriceTable.from_file(prices_file) if prices_file else analytics.PriceTable.default()
+    text = sys.stdin.read() if input_file == "-" else Path(input_file).read_text()
+    records, parse_errors = analytics.parse_records(text.splitlines())
     table = analytics.aggregate(records, addr_map, prices)
-    config_echo = {"input": input_file, "map": map_file, "prices": prices_file,
-                   "seed": ctx.obj["seed"]}
+    config_echo = {"input": input_file, "map": map_file, "prices": prices_file}
     results = {
         "rows": [r.as_dict() for r in table.rows],
         "total": table.total.as_dict(),
         "classification_errors": list(table.errors),
         "parse_errors": parse_errors,
     }
-    report = RunReport("classify", config_echo, _hash_config("classify", config_echo),
-                       input_hash, results, _versions(), time.perf_counter() - started)
     text_out = analytics.format_table_text(table)
     if parse_errors:
         text_out += f"\nskipped {len(parse_errors)} unparseable line(s)"
-    _emit(ctx, report, text_out.splitlines(), analytics.format_table_csv(table).splitlines())
+    return (config_echo, _hash_bytes(text.encode()), results, text_out.splitlines(),
+            analytics.format_table_csv(table).splitlines(), 0)
 
 
 @main.command("describe")
 @click.option("--scenario", required=True)
 @click.option("--vector", "vector_name", required=True)
 @click.option("--zy-cap", is_flag=True)
-@click.pass_context
-def describe_cmd(ctx, scenario, vector_name, zy_cap):
+def describe_cmd(scenario, vector_name, zy_cap):
     """Emit a vector's chain in the reusable description-file format."""
-    try:
-        state, _, _ = _resolve_scenario(scenario)
+    with _unusable_input():
+        state, _ = _resolve_scenario(scenario)
         vector = _resolve_vector(vector_name, state, zy_cap)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        _fail(str(exc))
     click.echo(json.dumps(describe(vector), indent=2, sort_keys=True))
 
 

@@ -215,6 +215,24 @@ def _require_finite(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+
+
+def expect_type(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind`, else a ConfigError naming `what`."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def as_number(value, what: str) -> float:
+    """`float(value)`, or a ConfigError naming `what`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def assert_strict(residuals: list[Residual], tol: float = STRICT_RESIDUAL_TOL) -> None:
     """Validation-mode check: raise if any residual is meaningfully negative."""
     violated = [r for r in residuals if r.value < -tol]

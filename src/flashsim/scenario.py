@@ -27,59 +27,67 @@ from .models import (
     MarginPlatform,
     Pool,
     WorldState,
+    as_number,
+    expect_type,
 )
 
 BUILTIN_SCENARIOS = ("pump_arbitrage", "oracle_manipulation")
+
+
+_SYMBOL_FIELDS = frozenset({"asset", "x", "y", "collateral", "debt", "short", "venue"})
+
+
+def _field(pool_id: str, name: str, value: Any) -> Any:
+    """A stanza field as its type: a string for asset and venue names, else a float."""
+    what = f"pool {pool_id!r}: {name}"
+    return expect_type(value, str, what) if name in _SYMBOL_FIELDS else as_number(value, what)
 
 
 def _require(stanza: dict, pool_id: str, *fields: str) -> list[Any]:
     missing = [f for f in fields if f not in stanza]
     if missing:
         raise ConfigError(f"pool {pool_id!r}: missing field(s) {', '.join(missing)}")
-    return [stanza[f] for f in fields]
+    return [_field(pool_id, f, stanza[f]) for f in fields]
 
 
-def _build_pool(pool_id: str, stanza: dict) -> Pool:
-    kind = stanza.get("type")
+def _optional(stanza: dict, pool_id: str, name: str, default: Any = None) -> Any:
+    value = stanza.get(name)
+    return default if value is None else _field(pool_id, name, value)
+
+
+def build_pool(pool_id: str, stanza: dict) -> Pool:
+    """One pool from its scenario stanza; a malformed stanza raises ConfigError."""
+    kind = expect_type(stanza, dict, f"pool {pool_id!r}").get("type")
     if kind == "flash_loan":
         asset, v_x = _require(stanza, pool_id, "asset", "vX")
-        interest = stanza.get("interest", {})
-        return FlashLoanPool(
-            asset=asset,
-            available=float(v_x),
-            interest=InterestModel(
-                rate=float(interest.get("rate", 0.0)),
-                flat=float(interest.get("flat", 0.0)),
-            ),
-        )
+        interest = expect_type(stanza.get("interest", {}), dict, f"pool {pool_id!r}: interest")
+        return FlashLoanPool(asset=asset, available=v_x, interest=InterestModel(
+            rate=_optional(interest, pool_id, "rate", 0.0),
+            flat=_optional(interest, pool_id, "flat", 0.0),
+        ))
     if kind == "constant_product":
         x, y, u_x, u_y = _require(stanza, pool_id, "x", "y", "uX", "uY")
         return ConstantProductAmm(
-            asset_x=x, asset_y=y,
-            reserve_x=float(u_x), reserve_y=float(u_y),
-            fee_rate=float(stanza.get("fee", 0.0)),
+            asset_x=x, asset_y=y, reserve_x=u_x, reserve_y=u_y,
+            fee_rate=_optional(stanza, pool_id, "fee", 0.0),
         )
     if kind == "price_reserve":
         x, y, k_x, lr, min_p, max_p = _require(stanza, pool_id, "x", "y", "kX", "lr", "minP", "maxP")
         return AutomatedPriceReserve(
-            asset_x=x, asset_y=y,
-            inventory_x=float(k_x), liquidity_rate=float(lr),
-            min_price=float(min_p), max_price=float(max_p),
+            asset_x=x, asset_y=y, inventory_x=k_x, liquidity_rate=lr,
+            min_price=min_p, max_price=max_p,
         )
     if kind == "fixed_price":
         x, y, p_m = _require(stanza, pool_id, "x", "y", "pm")
-        max_y = stanza.get("maxY")
         return FixedPriceMarket(
-            asset_x=x, asset_y=y, price=float(p_m),
-            max_y=None if max_y is None else float(max_y),
+            asset_x=x, asset_y=y, price=p_m, max_y=_optional(stanza, pool_id, "maxY"),
         )
     if kind == "lending":
         collateral, debt, cf, z_y = _require(stanza, pool_id, "collateral", "debt", "cf", "zY")
-        er = stanza.get("er")
         return LendingPool(
             collateral_asset=collateral, debt_asset=debt,
-            collateral_factor=float(cf), available_debt=float(z_y),
-            exchange_rate=None if er is None else float(er),
+            collateral_factor=cf, available_debt=z_y,
+            exchange_rate=_optional(stanza, pool_id, "er"),
         )
     if kind == "margin":
         collateral, short, lev, ocr, w_x = _require(
@@ -87,26 +95,28 @@ def _build_pool(pool_id: str, stanza: dict) -> Pool:
         )
         return MarginPlatform(
             collateral_asset=collateral, short_asset=short,
-            leverage=float(lev), over_collateral_ratio=float(ocr),
-            available_x=float(w_x),
-            venue=stanza.get("venue"),
-            external_price=None if stanza.get("emp") is None else float(stanza["emp"]),
+            leverage=lev, over_collateral_ratio=ocr, available_x=w_x,
+            venue=_optional(stanza, pool_id, "venue"),
+            external_price=_optional(stanza, pool_id, "emp"),
         )
     raise ConfigError(f"pool {pool_id!r}: unknown type {kind!r}")
 
 
 def scenario_from_dict(doc: dict) -> WorldState:
     """Build the step-0 world state from a parsed scenario document."""
-    assets = doc.get("assets", [])
-    if len(set(assets)) != len(assets) or any(not a for a in assets):
+    assets = expect_type(doc, dict, "scenario").get("assets", [])
+    if (not isinstance(assets, list) or not all(isinstance(a, str) and a for a in assets)
+            or len(set(assets)) != len(assets)):
         raise ConfigError("assets must be unique non-empty symbols")
     balances: dict[tuple[str, str], float] = {}
-    for entity, per_asset in doc.get("balances", {}).items():
-        for asset, amount in per_asset.items():
-            if float(amount) < 0:
+    for entity, per_asset in expect_type(doc.get("balances", {}), dict, "balances").items():
+        for asset, amount in expect_type(per_asset, dict, f"balances of {entity!r}").items():
+            amount = as_number(amount, f"balance of {entity}/{asset}")
+            if amount < 0:
                 raise ConfigError(f"negative initial balance for {entity}/{asset}")
-            balances[(entity, asset)] = float(amount)
-    pools = {pid: _build_pool(pid, stanza) for pid, stanza in doc.get("pools", {}).items()}
+            balances[(entity, asset)] = amount
+    stanzas = expect_type(doc.get("pools", {}), dict, "pools")
+    pools = {pid: build_pool(pid, stanza) for pid, stanza in stanzas.items()}
     declared = set(assets)
     for pid, pool in pools.items():
         if isinstance(pool, MarginPlatform) and pool.venue is not None and pool.venue not in pools:

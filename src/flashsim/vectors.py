@@ -16,6 +16,7 @@ routes together (they must agree to 1e-9 relative on feasible points).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -30,12 +31,14 @@ from .models import (
     FlashLoanPool,
     LendingPool,
     MarginPlatform,
+    PositionError,
     Residual,
     WorldState,
     amm_swap_x_for_y,
     amm_swap_y_for_x,
     collateralized_borrow,
     collateralized_repay,
+    expect_type,
     flash_loan,
     flash_repay,
     margin_short,
@@ -45,7 +48,8 @@ from .models import (
 
 
 class EvaluationError(Exception):
-    """Evaluation produced a non-finite intermediate value at some step."""
+    """A step of the replay failed: a non-finite or undefined intermediate
+    value, or a call on a position that does not exist."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -130,6 +134,8 @@ def format_binding(binding: Binding) -> str:
 
 
 def parse_binding(text: str) -> Binding:
+    if not isinstance(text, str):
+        raise ConfigError(f"cannot parse binding {text!r}")
     text = text.strip()
     if text.startswith("all:"):
         _, entity, asset = text.split(":")
@@ -218,8 +224,9 @@ _OPS: dict[str, Callable] = {
 def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]) -> EvaluationTrace:
     """Replay the chain on `scenario` with the given free parameters.
 
-    Negative residuals never raise; non-finite intermediates raise
-    :class:`EvaluationError` carrying the offending step index.
+    Negative residuals never raise; non-finite intermediates, arithmetic
+    failures and calls on missing positions raise :class:`EvaluationError`
+    carrying the offending step index.
     """
     params = tuple(float(p) for p in params)
     if len(params) != vector.n_params:
@@ -246,7 +253,7 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
                     if not math.isfinite(r.value):
                         raise OverflowError(f"residual {r.name} is {r.value}")
                     residuals.append(replace(r, step=i))
-        except OverflowError as exc:
+        except (ArithmeticError, PositionError) as exc:
             raise EvaluationError(i, str(exc)) from None
         if not math.isfinite(state.balance(vector.actor, vector.profit_asset)):
             raise EvaluationError(i, f"{vector.profit_asset} balance overflowed")
@@ -294,13 +301,20 @@ def list_constraints(vector: AttackVector) -> list[dict]:
     ]
 
 
+def _bound(index: int, pair) -> tuple[float, float]:
+    lo, hi = (float(v) for v in pair)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError(f"bounds of p{index + 1} must be finite with low <= high, got {list(pair)}")
+    return lo, hi
+
+
 def with_bounds(vector: AttackVector, overrides: Mapping[int, tuple[float, float]]) -> AttackVector:
     """New vector with per-parameter (0-based) bound overrides."""
     bounds = list(vector.bounds)
     for idx, pair in overrides.items():
         if not 0 <= idx < vector.n_params:
             raise ConfigError(f"no parameter with index {idx}")
-        bounds[idx] = (float(pair[0]), float(pair[1]))
+        bounds[idx] = _bound(idx, pair)
     return replace(vector, bounds=tuple(bounds))
 
 
@@ -582,38 +596,53 @@ def _probe_constraints(vector: AttackVector, scenario: WorldState) -> tuple[Cons
     return tuple(specs)
 
 
-def parse_vector(doc: dict, scenario: WorldState) -> AttackVector:
-    """Build a user-defined vector from a parsed description document."""
+def _parse_call(doc, where: str, n_params: int) -> EndpointCall:
+    """One endpoint call, its bindings and arguments checked against its op."""
+    doc = expect_type(doc, dict, where)
+    op = expect_type(doc.get("op"), str, f"{where} op")
+    if op not in _OPS:
+        raise ConfigError(f"unknown endpoint {op!r}")
+    amount = parse_binding(doc["amount"]) if "amount" in doc else None
+    extra = {k: parse_binding(v) for k, v in expect_type(doc.get("extra", {}), dict, f"{where} extra").items()}
+    for binding in (amount, *extra.values()):
+        if isinstance(binding, Params) and not all(0 <= i < n_params for i in binding.indices):
+            raise ConfigError(f"{where}: {format_binding(binding)} names a parameter beyond p{n_params}")
     try:
-        steps = tuple(
-            ActionStep(
-                label=s.get("label", f"step {i + 1}"),
-                calls=tuple(
-                    EndpointCall(
-                        op=c["op"],
-                        pool=c["pool"],
-                        amount=parse_binding(c["amount"]) if "amount" in c else None,
-                        extra={k: parse_binding(v) for k, v in c.get("extra", {}).items()},
-                    )
-                    for c in s["calls"]
-                ),
-            )
-            for i, s in enumerate(doc["steps"])
-        )
+        inspect.signature(_OPS[op]).bind(None, None, None, *([] if amount is None else [amount]), **extra)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {op} cannot take these arguments: {exc}") from None
+    return EndpointCall(op, expect_type(doc.get("pool"), str, f"{where} pool"), amount, extra)
+
+
+def parse_vector(doc: dict, scenario: WorldState) -> AttackVector:
+    """Build a user-defined vector from a parsed description document.
+
+    A document of the wrong shape, a binding to a parameter the vector
+    lacks, a call its op cannot take and bounds that are not finite pairs
+    with low <= high, one per parameter, all raise ConfigError.
+    """
+    try:
+        doc = expect_type(doc, dict, "vector description")
+        n_params = int(doc["n_params"])
+        steps = []
+        for i, step in enumerate(expect_type(doc["steps"], list, "steps"), start=1):
+            step = expect_type(step, dict, f"step {i}")
+            calls = expect_type(step["calls"], list, f"step {i} calls")
+            steps.append(ActionStep(
+                label=expect_type(step.get("label", f"step {i}"), str, f"step {i} label"),
+                calls=tuple(_parse_call(c, f"step {i} call {j}", n_params) for j, c in enumerate(calls, 1)),
+            ))
+        bounds = expect_type(doc["bounds"], list, "bounds")
+        if n_params < 1 or len(bounds) != n_params:
+            raise ConfigError(f"need one bound pair per parameter: n_params {n_params}, {len(bounds)} pair(s)")
+        actor = expect_type(doc["actor"], str, "actor")
+        asset = expect_type(doc["profit_asset"], str, "profit_asset")
         vector = AttackVector(
-            name=doc.get("name", "custom"),
-            steps=steps,
-            n_params=int(doc["n_params"]),
-            bounds=tuple((float(lo), float(hi)) for lo, hi in doc["bounds"]),
-            actor=doc["actor"],
-            profit_asset=doc["profit_asset"],
-            objective_name=f"net {doc['profit_asset']} gain for {doc['actor']}",
+            name=doc.get("name", "custom"), steps=tuple(steps), n_params=n_params,
+            bounds=tuple(_bound(i, pair) for i, pair in enumerate(bounds)),
+            actor=actor, profit_asset=asset, objective_name=f"net {asset} gain for {actor}",
             constraints=(),
-            objective=None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad vector description: {exc}") from None
-    for call in (c for s in vector.steps for c in s.calls):
-        if call.op not in _OPS:
-            raise ConfigError(f"unknown endpoint {call.op!r}")
     return replace(vector, constraints=_probe_constraints(vector, scenario))

@@ -110,6 +110,16 @@ class TestAtomic:
         with pytest.raises(ConfigError):
             atomic_arbitrage(market(), budget=0.0)
 
+    @pytest.mark.parametrize("budget", [float("inf"), float("nan"), -1.0])
+    def test_budget_must_be_finite_and_positive(self, budget):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            atomic_arbitrage(market(), budget)
+
+    def test_budget_that_drains_the_bought_pool_is_rejected(self):
+        # 1e20 X into 100 X / 35000 Y rounds the Y reserve to 0.0
+        with pytest.raises(ConfigError, match="drains"):
+            atomic_arbitrage(market(), 1e20)
+
     def test_mismatched_pairs_rejected(self):
         with pytest.raises(ConfigError):
             TwoExchangeMarket(
@@ -358,3 +368,8 @@ def test_bootstrap_interval_brackets_mean():
     low, high = bootstrap_mean_ci(samples, np.random.default_rng(1), 2000)
     assert low < samples.mean() < high
     assert high - low < 0.5
+
+
+def test_bootstrap_needs_a_resample():
+    with pytest.raises(ConfigError):
+        bootstrap_mean_ci(np.ones(3), np.random.default_rng(1), 0)

@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from flashsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-TRACE = Path(__file__).parents[1] / "src" / "flashsim" / "data" / "sample_trades.csv"
+DATA = Path(__file__).parents[1] / "src" / "flashsim" / "data"
+TRACE = DATA / "sample_trades.csv"
 
 
 @pytest.fixture
@@ -22,6 +23,73 @@ def stable(output: str) -> dict:
     payload.pop("wall_time_s")
     payload.pop("versions")
     return payload
+
+
+def assert_unusable_input(res):
+    """Exit 2, nothing on stdout, one `error:` line on stderr and no traceback."""
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert isinstance(res.exception, SystemExit)
+
+
+def scenario_text(mutate) -> str:
+    doc = json.loads((DATA / "pump_arbitrage.json").read_text())
+    mutate(doc)
+    return json.dumps(doc)
+
+
+def chain_text(**changes) -> str:
+    """A one-parameter flash loan and repay on the pump_arbitrage pools."""
+    doc = {"name": "loop", "actor": "adversary", "profit_asset": "ETH", "n_params": 1,
+           "bounds": [[0.0, 100.0]], "steps": [
+               {"label": "loan", "calls": [{"op": "flash_loan", "pool": "flash", "amount": "p1"}]},
+               {"label": "repay", "calls": [{"op": "flash_repay", "pool": "flash", "amount": "p1"}]}]}
+    return json.dumps({**doc, **changes})
+
+
+def chain_call(call: dict) -> str:
+    return chain_text(steps=[{"label": "only", "calls": [call]}])
+
+
+EVAL_SCENARIO = ["evaluate", "--scenario", "FILE", "--vector", "paa", "5500", "1300"]
+EVAL_CHAIN = ["evaluate", "--scenario", "pump_arbitrage", "--vector", "FILE", "1"]
+
+# Input files that used to end in a traceback (or, for a bound with low above
+# high, in exit 0): FILE in the arguments is the file's path.
+MALFORMED = {
+    "scenario-pools-list": (scenario_text(lambda d: d.update(pools=[])), EVAL_SCENARIO),
+    "scenario-top-level-list": ("[]", EVAL_SCENARIO),
+    "scenario-balances-not-object": (scenario_text(lambda d: d.update(balances={"adversary": "x"})),
+                                     EVAL_SCENARIO),
+    "scenario-field-not-number": (scenario_text(lambda d: d["pools"]["flash"].update(vX="abc")),
+                                  EVAL_SCENARIO),
+    "market-list": ("[]", ["atomicity", "--market", "FILE", "--budget", "2"]),
+    "trace-amount-nan": ("1,a,XY,nan\n", ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "2",
+                                          "--i-values", "0,1", "--trials", "2", "--replay", "FILE"]),
+    "prices-list": ("[]", ["classify", "--prices", "FILE"]),
+    "map-bad-address": ("0x12,Foo\n", ["classify", "--map", "FILE"]),
+    "chain-steps-string": (chain_text(steps="x"), EVAL_CHAIN),
+    "chain-binding-beyond-n-params": (chain_call({"op": "flash_loan", "pool": "flash", "amount": "p2"}),
+                                      EVAL_CHAIN),
+    "chain-extra-op-cannot-take": (chain_call({"op": "flash_loan", "pool": "flash", "amount": "p1",
+                                               "extra": {"debt_cap": "p1"}}), EVAL_CHAIN),
+    "chain-missing-amount": (chain_call({"op": "flash_loan", "pool": "flash"}), EVAL_CHAIN),
+    "chain-n-params-infinite": (chain_text(n_params=float("inf")), EVAL_CHAIN),
+    "chain-bound-count": (chain_text(bounds=[[0.0, 1.0], [0.0, 1.0]]), EVAL_CHAIN),
+    "chain-infinite-bound": (chain_text(bounds=[[0.0, 100.0]]).replace("100.0", "1e309"), EVAL_CHAIN),
+    "chain-bound-low-above-high": (chain_text(bounds=[[5.0, 1.0]]), EVAL_CHAIN),
+    "chain-repay-without-position": (chain_call({"op": "collateralized_repay", "pool": "lending"}),
+                                     EVAL_CHAIN),
+}
+
+
+@pytest.mark.parametrize("text, argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_file_exits_2_with_one_error_line(runner, tmp_path, text, argv):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert_unusable_input(runner.invoke(main, [str(path) if a == "FILE" else a for a in argv]))
 
 
 class TestOptimize:
@@ -176,6 +244,13 @@ class TestAtomicity:
     def test_missing_market_file_exits_2(self, runner):
         res = runner.invoke(main, ["atomicity", "--market", "no-such.json", "--budget", "1"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("budget", ["1e20", "inf", "nan", "-1"])
+    def test_unusable_budget_exits_2(self, runner, budget):
+        # 1e20 drains the bought pool's Y reserve; inf and nan gave rows of nan
+        assert_unusable_input(runner.invoke(main, [
+            "atomicity", "--market", str(GOLDEN / "market.json"), "--budget", budget,
+            "--i-values", "0,5", "--trials", "3"]))
 
     def test_repeated_i_value_rests_on_trials_samples(self, runner):
         # a repeated i once pooled both copies into a 74-sample bootstrap

@@ -1,9 +1,15 @@
 """Scenario file loading and validation."""
 
 import json
+import math
+from importlib import resources
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flashsim.cli import main
 from flashsim.models import ConfigError, ConstantProductAmm, FlashLoanPool
 from flashsim.scenario import builtin_scenario, load_scenario, scenario_from_dict
 
@@ -74,3 +80,35 @@ def test_file_load_matches_dict(tmp_path):
     state, doc = load_scenario(path)
     assert doc == minimal_doc()
     assert state.pool("flash").available == 100.0
+
+
+PAA_DOC = json.loads(resources.files("flashsim.data").joinpath("pump_arbitrage.json").read_text())
+
+
+def key_paths(node, prefix=()):
+    """Every key path of a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+JUNK = st.one_of(st.text(max_size=6), st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=2),
+                 st.none(), st.just(math.inf), st.just(math.nan))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(key_paths(PAA_DOC))), JUNK), min_size=1, max_size=3))
+def test_junk_field_values_never_end_in_a_traceback(tmp_path_factory, replacements):
+    doc = json.loads(json.dumps(PAA_DOC))
+    # deepest first, so no path has lost an ancestor to an earlier replacement
+    for path, value in sorted(replacements, key=lambda r: -len(r[0])):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    scenario = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["evaluate", "--scenario", str(scenario), "--vector", "paa", "5500", "1300"])
+    assert res.exit_code in (0, 1, 2)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
