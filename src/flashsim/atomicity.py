@@ -257,6 +257,12 @@ class SyntheticStream:
     amount_scale: float = 1.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        if not 0 < self.amount_scale < np.inf:
+            raise ConfigError(f"amount scale must be finite and positive, got {self.amount_scale}")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
+
     def events(self, trial: int = 0) -> tuple[TradeEvent, ...]:
         exchanges, xy, amounts = self._draws(trial)
         return tuple(

@@ -8,6 +8,8 @@ are normalized by the magnitude of their constant term so pools five
 orders of magnitude apart weigh comparably.  :class:`Problem`, built once
 per solve or scan by :func:`problem`, is the single place where residuals
 are scaled; every solver path and the CLI's constraint report read it.
+Objectives and constraints take a point or a batch, closed form and replayed
+chain alike: a gradient is one call on its 2n stencil rows, a scan one call.
 
 ``grid_oracle`` is the independent check: an exhaustive feasible-box scan
 (plus one local refinement pass) that certifies solver results on one- to
@@ -38,8 +40,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.fd_step <= 0:
-            raise ConfigError("tolerances and steps must be positive")
+        if self.starts < 1 or self.max_iterations < 1:
+            raise ConfigError(f"starts and max_iterations must be >= 1, got {self.starts}, {self.max_iterations}")
+        if not (0 < self.tolerance < np.inf and 0 < self.fd_step < np.inf):
+            raise ConfigError(f"tolerance and fd_step must be finite and > 0, got {self.tolerance}, {self.fd_step}")
 
 
 @dataclass(frozen=True)
@@ -74,37 +78,25 @@ class Problem:
 
     Residuals are normalized by their magnitude at the lower-bound corner,
     i.e. the constant term for the affine majority (pools differ by ~1e5 in
-    size).  A `batched` problem takes a ``(k, n)`` batch of points in one
-    call; a replayed chain is evaluated one point at a time.
-    """
+    size)."""
 
     objective: Callable[[np.ndarray], np.ndarray | float]
     constraints: tuple[ConstraintSpec, ...]
     scales: np.ndarray
     bounds: tuple[tuple[float, float], ...]
-    batched: bool
 
     def residuals(self, p) -> np.ndarray:
         """Scaled residual of every active constraint at one point."""
         p = np.asarray(p, dtype=float)
         return np.array([float(c.fn(p)) for c in self.constraints]) / self.scales
 
-    def min_residual(self, p):
-        """Smallest scaled residual at one point, or per row of a batch."""
+    def min_residual(self, p) -> np.ndarray:
+        """Smallest scaled residual at one point ``(n,)``, or per point of ``(..., n)``."""
         p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return float(self.residuals(p).min()) if self.constraints else np.inf
-        worst = np.full(len(p), np.inf)
+        worst = np.full(p.shape[:-1], np.inf)
         for c, s in zip(self.constraints, self.scales):
             np.minimum(worst, np.asarray(c.fn(p), dtype=float) / s, out=worst)
         return worst
-
-    def scan(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective and smallest scaled residual at each row of `pts`."""
-        if self.batched:
-            return np.asarray(self.objective(pts), dtype=float), self.min_residual(pts)
-        # A replayed point serves its objective and its residuals together.
-        return tuple(np.array([(float(self.objective(p)), self.min_residual(p)) for p in pts]).T)
 
 
 def problem(vector: AttackVector, scenario: WorldState, ignore: Iterable[str] = ()) -> Problem:
@@ -116,31 +108,28 @@ def problem(vector: AttackVector, scenario: WorldState, ignore: Iterable[str] = 
     constraints = tuple(c for c in vector.constraints if c.name not in ignored)
     corner = np.array([lo for lo, _ in vector.bounds], dtype=float)
     scales = np.array([max(1.0, abs(float(c.fn(corner)))) for c in constraints])
-    return Problem(closed_form_objective(vector, scenario), constraints, scales,
-                   vector.bounds, batched=vector.objective is not None)
+    return Problem(closed_form_objective(vector, scenario), constraints, scales, vector.bounds)
 
 
 def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
     """Deterministic LHS sample of n points over the bound box."""
     rng = np.random.default_rng(seed)
     dim = len(bounds)
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
+    lo, hi = np.array(bounds, dtype=float).T
     cells = np.stack([rng.permutation(n) for _ in range(dim)], axis=1)
     u = (cells + rng.random((n, dim))) / n
     return lo + u * (hi - lo)
 
 
 def _central_difference(f, params: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty_like(params)
-    for i in range(len(params)):
-        bump = np.zeros_like(params)
-        bump[i] = step
-        try:
-            grad[i] = (float(f(params + bump)) - float(f(params - bump))) / (2.0 * step)
-        except EvaluationError as exc:
-            raise EvaluationError(exc.step, f"while differencing coordinate {i}: {exc}") from None
-    return grad
+    """Central difference of `f` at `params` from one call on its 2n stencil rows."""
+    n = len(params)
+    bump = step * np.eye(n)
+    try:
+        values = np.asarray(f(np.concatenate([params + bump, params - bump])), dtype=float)
+    except EvaluationError as exc:
+        raise EvaluationError(exc.step, f"while differencing coordinate {exc.row % n}: {exc}") from None
+    return (values[:n] - values[n:]) / (2.0 * step)
 
 
 def finite_diff_gradient(
@@ -169,7 +158,7 @@ def _solve_slsqp(prob: Problem, neg_obj, grad_neg, x0, cfg) -> tuple[np.ndarray,
         method="SLSQP",
         options={"maxiter": cfg.max_iterations, "ftol": cfg.tolerance},
     )
-    return np.clip(res.x, [b[0] for b in prob.bounds], [b[1] for b in prob.bounds]), int(res.nit)
+    return np.clip(res.x, *np.array(prob.bounds, dtype=float).T), int(res.nit)
 
 
 def _solve_auglag(prob: Problem, neg_obj, x0, cfg) -> tuple[np.ndarray, int]:
@@ -234,8 +223,7 @@ def solve(
         return -_central_difference(prob.objective, np.asarray(p, dtype=float), config.fd_step)
 
     starts = latin_hypercube(config.starts, vector.bounds, config.seed)
-    best: tuple[float, np.ndarray, float] | None = None  # (objective, params, min residual)
-    least_bad: tuple[float, np.ndarray, float] | None = None
+    ends: list[tuple[float, np.ndarray, float]] = []  # (objective, params, min residual)
     iterations = 0
     for x0 in starts:
         try:
@@ -247,24 +235,20 @@ def solve(
             continue
         iterations += nit
         value = float(prob.objective(x))
-        worst = prob.min_residual(x)
-        if not np.isfinite(value):
-            continue
-        if worst >= -FEASIBILITY_TOL:
-            if best is None or value > best[0]:
-                best = (value, x, worst)
-        elif least_bad is None or worst > least_bad[2]:
-            least_bad = (value, x, worst)
+        if np.isfinite(value):
+            ends.append((value, x, float(prob.min_residual(x))))
 
     elapsed = time.perf_counter() - started
-    if best is None and least_bad is None:
+    if not ends:
         raise EvaluationError(0, "every start failed to evaluate")
-    value, x, worst = best or least_bad
+    # the first best feasible end, else the first least violated one
+    feasible = [end for end in ends if end[2] >= -FEASIBILITY_TOL]
+    value, x, worst = max(feasible, key=lambda end: end[0]) if feasible else max(ends, key=lambda end: end[2])
     return OptimizationResult(
         best_params=tuple(float(v) for v in x),
         best_objective=value,
         max_violation=worst,
-        feasible=best is not None,
+        feasible=bool(feasible),
         iterations=iterations,
         wall_time=elapsed,
         starts_tried=len(starts),
@@ -290,38 +274,34 @@ def grid_oracle(
     started = time.perf_counter()
     prob = problem(vector, scenario, ignore)
 
-    def scan(lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray] | None:
-        axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+    def scan(lo: np.ndarray, hi: np.ndarray) -> tuple[bool, float, np.ndarray, float]:
+        """(any feasible, objective, point, smallest scaled residual) at the best
+        feasible mesh point, or at the `lo` corner if none is."""
+        mesh = np.meshgrid(*(np.linspace(a, b, resolution) for a, b in zip(lo, hi)), indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        values, worst = prob.scan(pts)
+        values = np.asarray(prob.objective(pts), dtype=float)
+        worst = prob.min_residual(pts)
         feasible = worst >= -FEASIBILITY_TOL
-        if not feasible.any():
-            return None
-        masked = np.where(feasible, values, -np.inf)
-        idx = int(np.argmax(masked))
-        return float(values[idx]), pts[idx]
+        idx = int(np.argmax(np.where(feasible, values, -np.inf)))
+        return bool(feasible.any()), float(values[idx]), pts[idx], float(worst[idx])
 
-    lo = np.array([b[0] for b in vector.bounds], dtype=float)
-    hi = np.array([b[1] for b in vector.bounds], dtype=float)
-    coarse = scan(lo, hi)
+    lo, hi = np.array(vector.bounds, dtype=float).T
+    best = scan(lo, hi)
     evaluated = resolution ** vector.n_params
-    best = coarse
-    if coarse is not None:
+    if best[0]:
         cell = (hi - lo) / (resolution - 1)
-        center = coarse[1]
-        fine = scan(np.maximum(lo, center - cell), np.minimum(hi, center + cell))
+        fine = scan(np.maximum(lo, best[2] - cell), np.minimum(hi, best[2] + cell))
         evaluated += resolution ** vector.n_params
-        if fine is not None and fine[0] > coarse[0]:
+        if fine[0] and fine[1] > best[1]:
             best = fine
 
     elapsed = time.perf_counter() - started
-    value, point = best if best is not None else (float(prob.objective(lo)), lo)
+    feasible, value, point, worst = best
     return OptimizationResult(
         best_params=tuple(float(v) for v in point),
         best_objective=value,
-        max_violation=prob.min_residual(point),
-        feasible=best is not None,
+        max_violation=worst,
+        feasible=feasible,
         iterations=evaluated,
         wall_time=elapsed,
         starts_tried=1,

@@ -49,11 +49,13 @@ from .models import (
 
 class EvaluationError(Exception):
     """A step of the replay failed: a non-finite or undefined intermediate
-    value, or a call on a position that does not exist."""
+    value, or a call on a position that does not exist; `row` is the row of
+    a replayed batch that failed."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
         self.step = step
+        self.row = 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,9 @@ class ActionStep:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """One named constraint of the parameter problem, residual >= 0 feasible."""
+    """One named constraint of the parameter problem, residual >= 0 feasible.
+    `fn` takes one point ``(n,)`` and returns a scalar, or a batch ``(..., n)``
+    and returns ``(...)``."""
 
     name: str
     description: str
@@ -189,6 +193,10 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class AttackVector:
+    """A parametrized chain.  `objective` takes a point or a batch as
+    `ConstraintSpec.fn` does: a closed form for a built-in chain, the profit
+    replayed on the parse-time scenario for a described one, None if bare."""
+
     name: str
     steps: tuple[ActionStep, ...]
     n_params: int
@@ -265,32 +273,42 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
     return EvaluationTrace(tuple(states), tuple(residuals), gain)
 
 
-# The last replay: (steps, scenario, actor, profit asset, arity, point bytes,
-# trace).  Steps and scenario match by identity and the entry keeps both
-# alive; it is one tuple, read and replaced whole, so a thread can miss
-# another's entry but never read a mismatched one.
-_last_replay: tuple = ()
+def replay_table(vector: AttackVector, scenario: WorldState) -> Callable[[np.ndarray], np.ndarray]:
+    """`table(P)`: objective, then every residual, at each point of ``(..., n)``,
+    as ``(..., 1 + residuals)``, from one call per row of the module's
+    `evaluate` (tests and the traced benchmark patch that name).  The last
+    table is kept, so the objective and residuals of a point or batch share
+    its replays; its key holds the shape, as a one-row batch has a point's bytes."""
+    last: tuple = (None, None)
 
+    def table(p) -> np.ndarray:
+        nonlocal last
+        p = np.asarray(p, dtype=float)
+        key = (p.shape, p.tobytes())
+        cached = last  # read once: a thread may replace (key, table) whole meanwhile
+        if cached[0] == key:
+            return cached[1]
+        rows = []
+        try:
+            for point in p.reshape(-1, p.shape[-1]):
+                trace = evaluate(vector, scenario, point)
+                rows.append([trace.objective_value, *(res.value for res in trace.residuals)])
+        except EvaluationError as exc:
+            exc.row = len(rows)
+            raise
+        values = np.array(rows).reshape(*p.shape[:-1], -1)
+        last = (key, values)
+        return values
 
-def _replay(vector: AttackVector, scenario: WorldState, params) -> EvaluationTrace:
-    """`evaluate`, reusing the last trace at the same point, so a described
-    vector's objective and all of its residuals cost one replay per point."""
-    global _last_replay
-    key = (vector.steps, scenario, vector.actor, vector.profit_asset, vector.n_params,
-           np.asarray(params, dtype=float).tobytes())
-    last = _last_replay
-    if last and last[0] is key[0] and last[1] is key[1] and last[2:-1] == key[2:]:
-        return last[-1]
-    trace = evaluate(vector, scenario, params)
-    _last_replay = (*key, trace)
-    return trace
+    return table
 
 
 def closed_form_objective(vector: AttackVector, scenario: WorldState) -> Callable:
-    """Best objective callable available: algebraic if present, else replay."""
+    """The vector's objective; a bare chain's is its profit replayed on `scenario`."""
     if vector.objective is not None:
         return vector.objective
-    return lambda p: _replay(vector, scenario, p).objective_value
+    table = replay_table(vector, scenario)
+    return lambda p: table(p)[..., 0]
 
 
 def list_constraints(vector: AttackVector) -> list[dict]:
@@ -557,43 +575,36 @@ def describe(vector: AttackVector) -> dict:
     }
 
 
-def _probe_constraints(vector: AttackVector, scenario: WorldState) -> tuple[ConstraintSpec, ...]:
+def _probe_constraints(vector: AttackVector, scenario: WorldState, table: Callable) -> tuple[ConstraintSpec, ...]:
     """Mechanically derive constraints for a user vector from a probe replay.
 
     Linearity is decided numerically: a residual is classified linear when
-    it is affine along random segments of the parameter box.  Each probe
-    point is replayed once and serves every residual.
+    it is affine along random segments of the parameter box, whose ends and
+    midpoints are one batch of `table`.
     """
-    lo = np.array([b[0] for b in vector.bounds])
-    hi = np.array([b[1] for b in vector.bounds])
-    mid = lo + 0.25 * (hi - lo)
-    probe = evaluate(vector, scenario, mid)
+    lo, hi = np.array(vector.bounds, dtype=float).T
+    probe = evaluate(vector, scenario, lo + 0.25 * (hi - lo))
     rng = np.random.default_rng(11)
-    pts = [lo + rng.random(vector.n_params) * (hi - lo) * 0.5 for _ in range(3)]
-    segments = [(a, b, 0.5 * (a + b)) for a, b in zip(pts, pts[1:] + pts[:1])]
-    unique = {p.tobytes(): p for segment in segments for p in segment}
-    values = {key: [r.value for r in evaluate(vector, scenario, p).residuals] for key, p in unique.items()}
+    ends = np.array([lo + rng.random(vector.n_params) * (hi - lo) * 0.5 for _ in range(3)])
+    values = table(np.concatenate([ends, 0.5 * (ends + np.roll(ends, -1, axis=0))]))[:, 1:]
+    fa, fmid = values[:3], values[3:]
+    fb = np.roll(fa, -1, axis=0)
+    scale = np.maximum(1.0, np.maximum(abs(fa), abs(fb)))
+    curved = (abs(0.5 * (fa + fb) - fmid) > 1e-7 * scale).any(axis=0)
 
     def residual_fn(index: int):
-        return lambda p: _replay(vector, scenario, p).residuals[index].value
+        return lambda p: table(p)[..., 1 + index]
 
-    specs = []
-    for idx, res in enumerate(probe.residuals):
-        linear = True
-        for segment in segments:
-            fa, fb, fmid = (values[p.tobytes()][idx] for p in segment)
-            scale = max(1.0, abs(fa), abs(fb))
-            if abs(0.5 * (fa + fb) - fmid) > 1e-7 * scale:
-                linear = False
-                break
-        specs.append(ConstraintSpec(
+    return tuple(
+        ConstraintSpec(
             name=f"s{res.step}_{res.name}",
             description=f"{res.name} at step {res.step}",
             step=res.step or 0,
-            linear=linear,
+            linear=not curved[idx],
             fn=residual_fn(idx),
-        ))
-    return tuple(specs)
+        )
+        for idx, res in enumerate(probe.residuals)
+    )
 
 
 def _parse_call(doc, where: str, n_params: int) -> EndpointCall:
@@ -645,4 +656,6 @@ def parse_vector(doc: dict, scenario: WorldState) -> AttackVector:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad vector description: {exc}") from None
-    return replace(vector, constraints=_probe_constraints(vector, scenario))
+    table = replay_table(vector, scenario)
+    return replace(vector, constraints=_probe_constraints(vector, scenario, table),
+                   objective=lambda p: table(p)[..., 0])

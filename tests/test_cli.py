@@ -92,6 +92,32 @@ def test_malformed_input_file_exits_2_with_one_error_line(runner, tmp_path, text
     assert_unusable_input(runner.invoke(main, [str(path) if a == "FILE" else a for a in argv]))
 
 
+OPTIMIZE_PAA = ["optimize", "--scenario", "pump_arbitrage", "--vector", "paa"]
+ATOMICITY = ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "2",
+             "--i-values", "0,5", "--trials", "3"]
+
+# Options that used to end in an evaluation error at a step 0, a numpy
+# message, a warning, an unsolved result or rows of nan (the last two even
+# with exit 0).
+UNUSABLE_OPTIONS = {
+    "starts-zero": [*OPTIMIZE_PAA, "--starts", "0"],
+    "starts-negative": [*OPTIMIZE_PAA, "--starts", "-2"],
+    "max-iter-zero": [*OPTIMIZE_PAA, "--max-iter", "0"],
+    "fd-step-nan": [*OPTIMIZE_PAA, "--fd-step", "nan"],
+    "fd-step-inf": [*OPTIMIZE_PAA, "--fd-step", "inf"],
+    "tol-nan": [*OPTIMIZE_PAA, "--tol", "nan"],
+    "amount-scale-nan": [*ATOMICITY, "--amount-scale", "nan"],
+    "amount-scale-negative": [*ATOMICITY, "--amount-scale", "-1"],
+    "sigma-nan": [*ATOMICITY, "--sigma", "nan"],
+    "sigma-negative": [*ATOMICITY, "--sigma", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_OPTIONS.values(), ids=UNUSABLE_OPTIONS.keys())
+def test_unusable_option_exits_2_with_one_error_line(runner, argv):
+    assert_unusable_input(runner.invoke(main, argv))
+
+
 class TestOptimize:
     def test_paa_finds_documented_revenue(self, runner):
         res = runner.invoke(main, ["--format", "structured", "optimize",
@@ -163,14 +189,15 @@ class TestOptimize:
         assert stable(first.output) == stable(second.output)
 
     @pytest.mark.parametrize("golden, args", [
-        ("optimize_paa.json", ["--vector", "paa"]),
-        ("optimize_described_paa.json", ["--vector", "tests/golden/describe_paa.json",
+        ("optimize_paa.json", ["--scenario", "pump_arbitrage", "--vector", "paa"]),
+        ("optimize_described_paa.json", ["--scenario", "pump_arbitrage",
+                                         "--vector", "tests/golden/describe_paa.json",
                                          "--starts", "4", "--grid-res", "40"]),
+        ("optimize_oracle.json", ["--scenario", "oracle_manipulation", "--vector", "oracle"]),
     ])
     def test_structured_golden(self, runner, monkeypatch, golden, args):
         monkeypatch.chdir(Path(__file__).parents[1])  # config echoes relative paths
-        res = runner.invoke(main, ["--format", "structured", "optimize",
-                                   "--scenario", "pump_arbitrage", *args])
+        res = runner.invoke(main, ["--format", "structured", "optimize", *args])
         assert res.exit_code == 0, res.output
         assert stable(res.output) == json.loads((GOLDEN / golden).read_text())
 

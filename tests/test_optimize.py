@@ -9,6 +9,7 @@ import pytest
 from flashsim.models import ConfigError
 from flashsim.optimize import (
     SolverConfig,
+    _central_difference,
     finite_diff_gradient,
     grid_oracle,
     latin_hypercube,
@@ -19,7 +20,9 @@ from flashsim.vectors import (
     ConstraintSpec,
     build_oracle_vector,
     build_paa_vector,
+    describe,
     evaluate,
+    parse_vector,
     with_bounds,
 )
 
@@ -177,6 +180,25 @@ class TestFiniteDifferences:
         coarse = np.abs(estimates[8.0] - estimates[4.0]).max()
         fine = np.abs(estimates[4.0] - estimates[2.0]).max()
         assert fine < coarse / 2.5  # second-order decay, with float headroom
+
+    @pytest.mark.parametrize("name, point", [
+        ("paa", (3000.0, 900.0)),
+        ("oracle", (700.0, 450.0, 3000.0)),
+        ("described_paa", (2470.08, 1455.0)),
+    ])
+    def test_one_stencil_call_matches_per_coordinate_loop(self, name, point, request):
+        if name == "described_paa":
+            state = request.getfixturevalue("paa_state")
+            f = parse_vector(describe(request.getfixturevalue("paa")), state).objective
+        else:
+            f = request.getfixturevalue(name).objective
+        x, h = np.array(point), 1e-4
+        expected = []
+        for i in range(len(x)):
+            bump = np.zeros_like(x)
+            bump[i] = h
+            expected.append((float(f(x + bump)) - float(f(x - bump))) / (2.0 * h))
+        assert np.array_equal(_central_difference(f, x, h), expected)
 
     def test_requires_interior_point(self, paa, paa_state):
         with pytest.raises(ValueError):

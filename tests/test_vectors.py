@@ -281,6 +281,21 @@ class TestDescription:
         with ThreadPoolExecutor(max_workers=4) as pool:
             assert list(pool.map(read, pairs)) == expected
 
+    @pytest.mark.parametrize("name", ["paa", "oracle"])
+    def test_parsed_vector_takes_a_point_or_a_batch(self, name, request):
+        vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
+        parsed = parse_vector(describe(vector), state)
+        lo, hi = np.array(parsed.bounds).T
+        batch = lo + RNG.random((2, 3, parsed.n_params)) * (hi - lo) * 0.5
+        traces = [[evaluate(parsed, state, p) for p in row] for row in batch]
+        fns = [parsed.objective] + [c.fn for c in parsed.constraints]
+        columns = [[[t.objective_value for t in row] for row in traces]] + [
+            [[t.residuals[i].value for t in row] for row in traces] for i in range(len(parsed.constraints))]
+        for fn, column in zip(fns, columns):
+            assert np.array_equal(fn(batch), column)  # bitwise, shape (2, 3)
+            point = fn(batch[1, 2])
+            assert np.ndim(point) == 0 and point == column[1][2]
+
     def test_unknown_endpoint_rejected(self, paa, paa_state):
         doc = describe(paa)
         doc["steps"][0]["calls"][0]["op"] = "rug_pull"
