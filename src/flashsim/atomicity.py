@@ -128,13 +128,8 @@ def _cheap_exchange(market: TwoExchangeMarket) -> tuple[str, str]:
     return ("a", "b") if price_a <= price_b else ("b", "a")
 
 
-def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, float]:
-    """Buy Y with `budget` X where it is cheap, sell it on the other exchange.
-
-    Returns (profit, quantity held between the two legs).  With no price gap
-    the profit is simply <= 0; that is a result, not an error.  The budget
-    must be finite and positive and leave the bought pool some Y.
-    """
+def _buy(market: TwoExchangeMarket, budget: float) -> tuple[_Pools, str, float]:
+    """The buy leg: (pools after it, the exchange to sell on, Y held)."""
     if not 0 < budget < np.inf:
         raise ConfigError(f"budget must be finite and positive, got {budget}")
     buy_on, sell_on = _cheap_exchange(market)
@@ -142,8 +137,18 @@ def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, f
     held = pools.buy_y(buy_on, budget)
     if not (pools.ay if buy_on == "a" else pools.by) > 0:
         raise ConfigError(f"budget {budget:g} drains exchange {buy_on}'s Y reserve")
-    proceeds = pools.sell_y(sell_on, held)
-    return proceeds - budget, held
+    return pools, sell_on, held
+
+
+def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, float]:
+    """Buy Y with `budget` X where it is cheap, sell it on the other exchange.
+
+    Returns (profit, quantity held between the two legs).  With no price gap
+    the profit is simply <= 0; that is a result, not an error.  The budget
+    must be finite and positive and leave the bought pool some Y.
+    """
+    pools, sell_on, held = _buy(market, budget)
+    return pools.sell_y(sell_on, held) - budget, held
 
 
 def non_atomic_arbitrage(
@@ -206,10 +211,8 @@ def _replay(
     max(counts) steps.  Returns aarb and (len(counts), lanes) arrays of naarb,
     hv and the profit difference.
     """
-    aarb, _ = atomic_arbitrage(market, budget)
-    buy_on, sell_on = _cheap_exchange(market)
-    bought = _Pools(market)
-    held = bought.buy_y(buy_on, budget)
+    bought, sell_on, held = _buy(market, budget)
+    aarb = bought.sell_y(sell_on, held) - budget  # selling leaves the reserves as they are
     mean_before = bought.spot_mean()
     naarb, hv = [], []
     for xy, amount_a, amount_b in blocks:
@@ -258,6 +261,8 @@ class SyntheticStream:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if self.size < 0:
+            raise ConfigError(f"stream size must be >= 0, got {self.size}")
         if not 0 < self.amount_scale < np.inf:
             raise ConfigError(f"amount scale must be finite and positive, got {self.amount_scale}")
         if not 0 <= self.sigma < np.inf:

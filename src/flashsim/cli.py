@@ -153,14 +153,13 @@ def _command(name: str):
 @click.option("--ignore-constraint", "ignored", multiple=True, help="Constraint name to drop from the solve.")
 @click.option("--bound", "bound_overrides", multiple=True, help="Parameter bound override pN:LOW:HIGH.")
 @click.option("--zy-cap", is_flag=True, help="Clamp the oracle vector's drawn amount to lender liquidity.")
-@click.option("--method", type=click.Choice(["slsqp", "auglag"]), default="slsqp", show_default=True)
 @click.option("--max-iter", default=200, show_default=True)
 @click.option("--tol", default=1e-9, show_default=True)
 @click.option("--fd-step", default=1e-4, show_default=True)
 @click.option("--starts", default=16, show_default=True)
 @click.option("--grid-res", default=0, help="Grid oracle resolution (0 = auto by dimension).")
-def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, method,
-             max_iter, tol, fd_step, starts, grid_res):
+def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, max_iter,
+             tol, fd_step, starts, grid_res):
     """Solve for profit-maximizing parameters, certified by the grid oracle."""
     state, scenario_hash = _resolve_scenario(scenario)
     vector = with_bounds(_resolve_vector(vector_name, state, zy_cap),
@@ -168,7 +167,7 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
     config = SolverConfig(max_iterations=max_iter, tolerance=tol, fd_step=fd_step,
                           starts=starts, seed=obj["seed"])
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
-    best = solve(vector, state, config, ignore=ignored, method=method)
+    best = solve(vector, state, config, ignore=ignored)
     grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
     prob = problem(vector, state, ignored)
 
@@ -200,7 +199,7 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, metho
 
     config_echo = {
         "scenario": scenario, "vector": vector_name, "ignore": sorted(ignored),
-        "bounds": sorted(bound_overrides), "zy_cap": zy_cap, "method": method,
+        "bounds": sorted(bound_overrides), "zy_cap": zy_cap,
         "max_iter": max_iter, "tol": tol, "fd_step": fd_step, "starts": starts,
         "grid_res": resolution,
     }
@@ -253,9 +252,9 @@ def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
 
     assets = sorted({asset for state in trace.states for _, asset in state.ledger.entries})
     step_rows = [
-        {"step": state_i.step_index, "label": label,
+        {"step": i, "label": label,
          "balances": {asset: state_i.balance(vector.actor, asset) for asset in assets}}
-        for state_i, label in zip(trace.states, ["initial"] + [s.label for s in vector.steps])
+        for i, (state_i, label) in enumerate(zip(trace.states, ["initial"] + [s.label for s in vector.steps]))
     ]
     residual_rows = [
         {"step": r.step, "name": r.name, "value": r.value, "satisfied": r.value >= -STRICT_RESIDUAL_TOL}

@@ -182,7 +182,6 @@ class WorldState:
 
     ledger: BalanceLedger = BalanceLedger()
     pools: Mapping[str, Pool] = field(default_factory=dict)
-    step_index: int = 0
 
     def pool(self, pool_id: str, kind: type | None = None) -> Pool:
         try:

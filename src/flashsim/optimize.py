@@ -1,13 +1,12 @@
 """Constrained maximization of vector objectives, plus a brute-force oracle.
 
-The primary solver is sequential least-squares programming (SciPy's SLSQP)
-driven by central finite-difference gradients, restarted from a Latin
-hypercube of seeds over the bound box.  An augmented-Lagrangian fallback
-covers environments where the QP subproblem solver misbehaves.  Residuals
-are normalized by the magnitude of their constant term so pools five
-orders of magnitude apart weigh comparably.  :class:`Problem`, built once
-per solve or scan by :func:`problem`, is the single place where residuals
-are scaled; every solver path and the CLI's constraint report read it.
+The solver is sequential least-squares programming (SciPy's SLSQP) driven
+by central finite-difference gradients, restarted from a Latin hypercube of
+seeds over the bound box.  Residuals are normalized by the magnitude of
+their constant term so pools five orders of magnitude apart weigh
+comparably.  :class:`Problem`, built once per solve or scan by
+:func:`problem`, is the single place where residuals are scaled; the
+solver, the grid oracle and the CLI's constraint report read it.
 Objectives and constraints take a point or a batch, closed form and replayed
 chain alike: a gradient is one call on its 2n stencil rows, a scan one call.
 
@@ -33,6 +32,10 @@ FEASIBILITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """`fd_step` is only the central-difference step of the objective gradient:
+    SLSQP differences the constraint vector itself, with SciPy's forward
+    2-point step of about 1.5e-8, clipped to the bounds."""
+
     max_iterations: int = 200
     tolerance: float = 1e-9
     fd_step: float = 1e-4
@@ -148,57 +151,11 @@ def finite_diff_gradient(
     return _central_difference(closed_form_objective(vector, scenario), params, step)
 
 
-def _solve_slsqp(prob: Problem, neg_obj, grad_neg, x0, cfg) -> tuple[np.ndarray, int]:
-    res = minimize(
-        neg_obj,
-        x0,
-        jac=grad_neg,
-        bounds=prob.bounds,
-        constraints=[{"type": "ineq", "fun": prob.residuals}] if prob.constraints else [],
-        method="SLSQP",
-        options={"maxiter": cfg.max_iterations, "ftol": cfg.tolerance},
-    )
-    return np.clip(res.x, *np.array(prob.bounds, dtype=float).T), int(res.nit)
-
-
-def _solve_auglag(prob: Problem, neg_obj, x0, cfg) -> tuple[np.ndarray, int]:
-    """Augmented-Lagrangian fallback: L-BFGS-B inner solves, multiplier updates."""
-    m = len(prob.constraints)
-    lam = np.zeros(m)
-    mu = 10.0
-    x = np.asarray(x0, dtype=float)
-    iterations = 0
-    prev_violation = np.inf
-    for _ in range(25):
-        def lagrangian(p, lam=lam, mu=mu):
-            total = neg_obj(p)
-            for i, g in enumerate(prob.residuals(p)):
-                total += (max(0.0, lam[i] - mu * g) ** 2 - lam[i] ** 2) / (2.0 * mu)
-            return total
-
-        inner = minimize(lagrangian, x, bounds=prob.bounds, method="L-BFGS-B",
-                         options={"maxiter": cfg.max_iterations})
-        x = inner.x
-        iterations += int(inner.nit)
-        g = prob.residuals(x)
-        violation = float(np.maximum(0.0, -g).max()) if m else 0.0
-        new_lam = np.maximum(0.0, lam - mu * g) if m else lam
-        if violation <= FEASIBILITY_TOL and np.allclose(new_lam, lam, rtol=1e-6, atol=1e-9):
-            lam = new_lam
-            break
-        lam = new_lam
-        if violation > 0.25 * prev_violation:
-            mu *= 4.0
-        prev_violation = max(violation, 1e-30)
-    return x, iterations
-
-
 def solve(
     vector: AttackVector,
     scenario: WorldState,
     config: SolverConfig = SolverConfig(),
     ignore: Iterable[str] = (),
-    method: str = "slsqp",
 ) -> OptimizationResult:
     """Maximize the vector objective subject to its accumulated constraints.
 
@@ -210,8 +167,6 @@ def solve(
         raise ConfigError("vector has no free parameters")
     if any(not np.isfinite([lo, hi]).all() for lo, hi in vector.bounds):
         raise ConfigError("solver needs finite bounds")
-    if method not in ("slsqp", "auglag"):
-        raise ConfigError(f"unknown method {method!r}")
 
     started = time.perf_counter()
     prob = problem(vector, scenario, ignore)
@@ -222,18 +177,19 @@ def solve(
     def grad_neg(p):
         return -_central_difference(prob.objective, np.asarray(p, dtype=float), config.fd_step)
 
+    constraints = [{"type": "ineq", "fun": prob.residuals}] if prob.constraints else []
+    lo, hi = np.array(vector.bounds, dtype=float).T
     starts = latin_hypercube(config.starts, vector.bounds, config.seed)
     ends: list[tuple[float, np.ndarray, float]] = []  # (objective, params, min residual)
     iterations = 0
     for x0 in starts:
         try:
-            if method == "slsqp":
-                x, nit = _solve_slsqp(prob, neg_obj, grad_neg, x0, config)
-            else:
-                x, nit = _solve_auglag(prob, neg_obj, x0, config)
+            res = minimize(neg_obj, x0, jac=grad_neg, bounds=prob.bounds, constraints=constraints,
+                           method="SLSQP", options={"maxiter": config.max_iterations, "ftol": config.tolerance})
         except (EvaluationError, FloatingPointError):
             continue
-        iterations += nit
+        iterations += int(res.nit)
+        x = np.clip(res.x, lo, hi)
         value = float(prob.objective(x))
         if np.isfinite(value):
             ends.append((value, x, float(prob.min_residual(x))))
@@ -252,7 +208,7 @@ def solve(
         iterations=iterations,
         wall_time=elapsed,
         starts_tried=len(starts),
-        method=method,
+        method="slsqp",
     )
 
 

@@ -131,7 +131,7 @@ def scenario_from_dict(doc: dict) -> WorldState:
             stray = referenced - declared
             if stray:
                 raise ConfigError(f"pool {pid!r}: undeclared asset(s) {sorted(stray)}")
-    return WorldState(ledger=BalanceLedger(balances), pools=pools, step_index=0)
+    return WorldState(ledger=BalanceLedger(balances), pools=pools)
 
 
 def load_scenario(path: str | Path) -> tuple[WorldState, dict]:

@@ -211,6 +211,8 @@ class AttackVector:
 
 @dataclass(frozen=True)
 class EvaluationTrace:
+    """`states[i]` is the state after step i; `states[0]` is the scenario."""
+
     states: tuple[WorldState, ...]
     residuals: tuple[Residual, ...]
     objective_value: float
@@ -242,7 +244,7 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
     if not all(math.isfinite(p) for p in params):
         raise ValueError(f"parameters must be finite, got {params}")
 
-    states: list[WorldState] = [replace(scenario, step_index=0)]
+    states: list[WorldState] = [scenario]
     residuals: list[Residual] = []
     for i, step in enumerate(vector.steps, start=1):
         state = states[-1]
@@ -265,7 +267,7 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
             raise EvaluationError(i, str(exc)) from None
         if not math.isfinite(state.balance(vector.actor, vector.profit_asset)):
             raise EvaluationError(i, f"{vector.profit_asset} balance overflowed")
-        states.append(replace(state, step_index=i))
+        states.append(state)
 
     gain = states[-1].balance(vector.actor, vector.profit_asset) - states[0].balance(
         vector.actor, vector.profit_asset

@@ -361,6 +361,11 @@ class TestTraces:
         assert stream.events(0) == stream.events(0)
         assert stream.events(0) != stream.events(1)
 
+    def test_negative_synthetic_stream_size_rejected(self):
+        # it once reported a stream of -1 events as exhausted
+        with pytest.raises(ConfigError, match="stream size must be >= 0, got -1"):
+            SyntheticStream(seed=4, size=-1)
+
 
 def test_bootstrap_interval_brackets_mean():
     rng = np.random.default_rng(17)

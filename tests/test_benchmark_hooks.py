@@ -19,8 +19,14 @@ def test_traced_run_finds_and_restores_every_hook(monkeypatch):
         res = CliRunner().invoke(cli.main, [
             "--format", "structured", "evaluate", "--scenario", "pump_arbitrage",
             "--vector", str(ROOT / "tests" / "golden" / "describe_paa.json"), "5500", "1300"])
+        solved = CliRunner().invoke(cli.main, [
+            "optimize", "--scenario", "pump_arbitrage", "--vector", "paa", "--starts", "2", "--grid-res", "20"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["command"] == "evaluate"
     # the parse's probe replays and the evaluated point reach the wrapped `evaluate`
     assert 0 < tracer.counts["vectors.probe_replays"] < tracer.counts["vectors.evaluate_calls"]
+    # the solve and the grid pass through the wrapped `solve`, `grid_oracle` and objective
+    assert solved.exit_code == 0, solved.output
+    for key in ("optimize.solve_iterations", "optimize.grid_points", "vectors.objective_calls"):
+        assert tracer.counts[key] > 0, key
     assert (cli.solve, cli.parse_vector, vectors.evaluate, dict(vectors.BUILTIN_VECTORS)) == before

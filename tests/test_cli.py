@@ -110,6 +110,7 @@ UNUSABLE_OPTIONS = {
     "amount-scale-negative": [*ATOMICITY, "--amount-scale", "-1"],
     "sigma-nan": [*ATOMICITY, "--sigma", "nan"],
     "sigma-negative": [*ATOMICITY, "--sigma", "-1"],
+    "stream-size-negative": [*ATOMICITY, "--stream-size", "-1"],
 }
 
 
@@ -217,6 +218,20 @@ class TestOptimize:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("vector", ["paa", "tests/golden/describe_paa.json"])
+    def test_structured_golden(self, runner, monkeypatch, vector):
+        # the closed form and its described chain report the point alike
+        monkeypatch.chdir(Path(__file__).parents[1])  # config echoes relative paths
+        res = runner.invoke(main, ["--format", "structured", "evaluate", "--scenario", "pump_arbitrage",
+                                   "--vector", vector, "5500", "1300"])
+        assert res.exit_code == 0, res.output
+        payload = stable(res.output)
+        golden = json.loads((GOLDEN / "evaluate_paa.json").read_text())
+        golden["config"]["vector"] = vector
+        if vector != "paa":  # a hash of the echo that now names the file
+            golden["config_hash"] = payload["config_hash"]
+        assert payload == golden
+
     def test_zero_params_zero_objective(self, runner):
         res = runner.invoke(main, ["--format", "structured", "evaluate",
                                    "--scenario", "pump_arbitrage", "--vector", "paa",

@@ -103,12 +103,6 @@ class TestSolve:
         with pytest.raises(ConfigError):
             solve(paa, paa_state, SolverConfig(), ignore=("nope",))
 
-    def test_auglag_fallback_matches_grid(self, paa, paa_state):
-        result = solve(paa, paa_state, SolverConfig(seed=0, starts=8), method="auglag")
-        reference = grid_oracle(paa, paa_state, 200)
-        assert result.feasible
-        assert result.best_objective >= reference.best_objective * 0.99
-
     def test_feasible_results_respect_tolerance(self, oracle, oracle_state):
         result = solve(oracle, oracle_state, SolverConfig(seed=5))
         assert result.max_violation >= -1e-6

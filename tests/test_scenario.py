@@ -31,7 +31,6 @@ def test_round_trip_of_minimal_document():
     assert state.balance("adversary", "ETH") == 5.0
     assert isinstance(state.pool("flash"), FlashLoanPool)
     assert isinstance(state.pool("amm"), ConstantProductAmm)
-    assert state.step_index == 0
 
 
 def test_bundled_scenarios_carry_incident_figures():
