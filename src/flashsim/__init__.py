@@ -2,7 +2,6 @@
 
 from .models import (
     AutomatedPriceReserve,
-    BalanceLedger,
     ConfigError,
     ConstantProductAmm,
     FixedPriceMarket,

@@ -167,8 +167,9 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, max_i
     config = SolverConfig(max_iterations=max_iter, tolerance=tol, fd_step=fd_step,
                           starts=starts, seed=obj["seed"])
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
-    best = solve(vector, state, config, ignore=ignored)
+    # the grid first: it rejects a bad resolution before the costlier solve
     grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
+    best = solve(vector, state, config, ignore=ignored)
     prob = problem(vector, state, ignored)
 
     rel_gap = None
@@ -250,7 +251,7 @@ def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
         raise ConfigError(f"vector {vector.name!r} needs {vector.n_params} parameter(s)")
     trace = evaluate(vector, state, params)
 
-    assets = sorted({asset for state in trace.states for _, asset in state.ledger.entries})
+    assets = sorted({asset for state in trace.states for _, asset in state.balances})
     step_rows = [
         {"step": i, "label": label,
          "balances": {asset: state_i.balance(vector.actor, asset) for asset in assets}}

@@ -1,12 +1,14 @@
 """Pure state-transition models for six DeFi protocol primitives.
 
-Every operation takes an immutable :class:`WorldState` plus numeric
-parameters and returns a fresh state together with a list of signed
-constraint residuals.  A residual >= 0 means the protocol rule it encodes
-is satisfied; negative residuals are *returned, not raised*, so an
-optimizer can walk through infeasible regions.  Misconfiguration (unknown
-pool, bad price, zero reserves) raises :class:`ConfigError` instead --
-that is a broken setup, not an infeasible trade.
+A :class:`WorldState` is the balances per (entity, asset) plus the pools.
+Every operation takes a state plus numeric parameters and returns its
+successor, built by one :meth:`WorldState.transact` call, together with a
+list of signed constraint residuals.  A residual >= 0 means the protocol
+rule it encodes is satisfied; negative residuals are *returned, not
+raised*, so an optimizer can walk through infeasible regions.
+Misconfiguration (unknown pool, bad price, zero reserves) raises
+:class:`ConfigError` instead -- that is a broken setup, not an infeasible
+trade.
 
 Conventions: each venue trades a pair X/Y; amounts are token units in
 binary floating point, and all golden comparisons elsewhere use relative
@@ -45,24 +47,6 @@ class Residual:
     name: str
     value: float
     step: int | None = None
-
-
-@dataclass(frozen=True)
-class BalanceLedger:
-    """Token balances per (entity, asset); absent entries read as zero."""
-
-    entries: Mapping[tuple[Entity, AssetId], float] = field(default_factory=dict)
-
-    def get(self, entity: Entity, asset: AssetId) -> float:
-        return self.entries.get((entity, asset), 0.0)
-
-    def add(self, entity: Entity, asset: AssetId, delta: float) -> "BalanceLedger":
-        updated = dict(self.entries)
-        updated[(entity, asset)] = updated.get((entity, asset), 0.0) + delta
-        return BalanceLedger(updated)
-
-    def is_non_negative(self, tol: float = STRICT_RESIDUAL_TOL) -> bool:
-        return all(v >= -tol for v in self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -178,9 +162,13 @@ Pool = Union[
 
 @dataclass(frozen=True)
 class WorldState:
-    """Immutable snapshot of all balances and pool states at one step."""
+    """Immutable snapshot of all balances and pool states at one step.
 
-    ledger: BalanceLedger = BalanceLedger()
+    `balances` maps (entity, asset) to an amount; absent entries read as
+    zero.  `transact` is the one way to make the next state.
+    """
+
+    balances: Mapping[tuple[Entity, AssetId], float] = field(default_factory=dict)
     pools: Mapping[str, Pool] = field(default_factory=dict)
 
     def pool(self, pool_id: str, kind: type | None = None) -> Pool:
@@ -194,24 +182,27 @@ class WorldState:
             )
         return found
 
-    def with_pool(self, pool_id: str, pool: Pool) -> "WorldState":
-        updated = dict(self.pools)
-        updated[pool_id] = pool
-        return replace(self, pools=updated)
-
-    def with_ledger(self, ledger: BalanceLedger) -> "WorldState":
-        return replace(self, ledger=ledger)
-
     def balance(self, entity: Entity, asset: AssetId) -> float:
-        return self.ledger.get(entity, asset)
+        return self.balances.get((entity, asset), 0.0)
+
+    def transact(self, trader: Entity, deltas: tuple[tuple[AssetId, float], ...],
+                 pools: Mapping[str, Pool] | None = None) -> "WorldState":
+        """The next state: `trader`'s balances moved by each (asset, delta) in
+        order, and the pools in `pools` replaced by id."""
+        balances = dict(self.balances)
+        for asset, delta in deltas:
+            balances[(trader, asset)] = balances.get((trader, asset), 0.0) + delta
+        return WorldState(balances, {**self.pools, **pools} if pools else self.pools)
 
 
 OpResult = tuple[WorldState, list[Residual]]
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_finite(name: str, value: float, non_negative: bool = False) -> None:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if non_negative and value < 0:
+        raise ConfigError(f"negative {name} {value}")
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
@@ -251,7 +242,7 @@ def flash_loan(state: WorldState, pool_id: str, borrower: Entity, amount: float)
     """Borrow `amount` from a flash pool; feasible while amount <= available."""
     _require_finite("loan amount", amount)
     pool = state.pool(pool_id, FlashLoanPool)
-    new_state = state.with_ledger(state.ledger.add(borrower, pool.asset, amount))
+    new_state = state.transact(borrower, ((pool.asset, amount),))
     return new_state, [Residual("loan_liquidity", pool.available - amount)]
 
 
@@ -261,7 +252,7 @@ def flash_repay(state: WorldState, pool_id: str, borrower: Entity, amount: float
     pool = state.pool(pool_id, FlashLoanPool)
     owed = amount + pool.interest.fee(amount)
     held = state.balance(borrower, pool.asset)
-    new_state = state.with_ledger(state.ledger.add(borrower, pool.asset, -owed))
+    new_state = state.transact(borrower, ((pool.asset, -owed),))
     return new_state, [Residual("repay_balance", held - owed)]
 
 
@@ -276,10 +267,9 @@ def sell_x_for_y_fixed(state: WorldState, market_id: str, trader: Entity, amount
     if market.price <= 0:
         raise ConfigError(f"market {market_id!r} has non-positive price {market.price}")
     bought = amount / market.price
-    ledger = state.ledger.add(trader, market.asset_x, -amount)
-    ledger = ledger.add(trader, market.asset_y, bought)
     new_market = replace(market, dispensed_y=market.dispensed_y + bought)
-    new_state = state.with_ledger(ledger).with_pool(market_id, new_market)
+    new_state = state.transact(trader, ((market.asset_x, -amount), (market.asset_y, bought)),
+                               {market_id: new_market})
     residuals = [Residual("seller_balance", state.balance(trader, market.asset_x) - amount)]
     if market.max_y is not None:
         residuals.append(Residual("market_inventory", market.max_y - market.dispensed_y - bought))
@@ -304,32 +294,28 @@ def constant_product_swap(r_in: float, r_out: float, fee: float, amount: float) 
     return r_in + amount, r_out - out, out
 
 
+def _amm_swap(state: WorldState, amm_id: str, trader: Entity, amount: float, x_in: bool) -> OpResult:
+    _require_finite("swap amount", amount, non_negative=True)
+    amm = _amm_checked(state, amm_id)
+    if x_in:
+        asset_in, asset_out, held = amm.asset_x, amm.asset_y, "trader_x_balance"
+        reserve_x, reserve_y, out = constant_product_swap(amm.reserve_x, amm.reserve_y, amm.fee_rate, amount)
+    else:
+        asset_in, asset_out, held = amm.asset_y, amm.asset_x, "trader_y_balance"
+        reserve_y, reserve_x, out = constant_product_swap(amm.reserve_y, amm.reserve_x, amm.fee_rate, amount)
+    new_state = state.transact(trader, ((asset_in, -amount), (asset_out, out)),
+                               {amm_id: replace(amm, reserve_x=reserve_x, reserve_y=reserve_y)})
+    return new_state, [Residual(held, state.balance(trader, asset_in) - amount)]
+
+
 def amm_swap_x_for_y(state: WorldState, amm_id: str, trader: Entity, amount: float) -> OpResult:
     """Swap `amount` of X into the pool for Y; output preserves the reserve product."""
-    _require_finite("swap amount", amount)
-    if amount < 0:
-        raise ConfigError(f"negative swap amount {amount}")
-    amm = _amm_checked(state, amm_id)
-    reserve_x, reserve_y, out = constant_product_swap(amm.reserve_x, amm.reserve_y, amm.fee_rate, amount)
-    ledger = state.ledger.add(trader, amm.asset_x, -amount)
-    ledger = ledger.add(trader, amm.asset_y, out)
-    new_amm = replace(amm, reserve_x=reserve_x, reserve_y=reserve_y)
-    new_state = state.with_ledger(ledger).with_pool(amm_id, new_amm)
-    return new_state, [Residual("trader_x_balance", state.balance(trader, amm.asset_x) - amount)]
+    return _amm_swap(state, amm_id, trader, amount, x_in=True)
 
 
 def amm_swap_y_for_x(state: WorldState, amm_id: str, trader: Entity, amount: float) -> OpResult:
     """Mirror swap: Y in, X out."""
-    _require_finite("swap amount", amount)
-    if amount < 0:
-        raise ConfigError(f"negative swap amount {amount}")
-    amm = _amm_checked(state, amm_id)
-    reserve_y, reserve_x, out = constant_product_swap(amm.reserve_y, amm.reserve_x, amm.fee_rate, amount)
-    ledger = state.ledger.add(trader, amm.asset_y, -amount)
-    ledger = ledger.add(trader, amm.asset_x, out)
-    new_amm = replace(amm, reserve_y=reserve_y, reserve_x=reserve_x)
-    new_state = state.with_ledger(ledger).with_pool(amm_id, new_amm)
-    return new_state, [Residual("trader_y_balance", state.balance(trader, amm.asset_y) - amount)]
+    return _amm_swap(state, amm_id, trader, amount, x_in=False)
 
 
 def amm_spot_price_y(state: WorldState, amm_id: str) -> float:
@@ -342,10 +328,13 @@ def amm_spot_price_y(state: WorldState, amm_id: str) -> float:
 # Automated price reserve
 # ---------------------------------------------------------------------------
 
+def _reserve_quote(res: AutomatedPriceReserve) -> float:
+    return res.min_price * math.exp(res.liquidity_rate * res.inventory_x)
+
+
 def reserve_price_y(state: WorldState, reserve_id: str) -> float:
     """Current reserve quote (X per Y); the max_price cap is a residual, not a clamp."""
-    res = state.pool(reserve_id, AutomatedPriceReserve)
-    return res.min_price * math.exp(res.liquidity_rate * res.inventory_x)
+    return _reserve_quote(state.pool(reserve_id, AutomatedPriceReserve))
 
 
 def reserve_convert_x_to_y(state: WorldState, reserve_id: str, trader: Entity, amount: float) -> OpResult:
@@ -355,17 +344,12 @@ def reserve_convert_x_to_y(state: WorldState, reserve_id: str, trader: Entity, a
     (1 - exp(-liquidity_rate * amount)) / (liquidity_rate * pre-trade quote),
     so successive conversions get a strictly worse marginal rate.
     """
-    _require_finite("convert amount", amount)
-    if amount < 0:
-        raise ConfigError(f"negative convert amount {amount}")
+    _require_finite("convert amount", amount, non_negative=True)
     res = state.pool(reserve_id, AutomatedPriceReserve)
-    pre_price = res.min_price * math.exp(res.liquidity_rate * res.inventory_x)
-    out = (1.0 - math.exp(-res.liquidity_rate * amount)) / (res.liquidity_rate * pre_price)
+    out = (1.0 - math.exp(-res.liquidity_rate * amount)) / (res.liquidity_rate * _reserve_quote(res))
     new_res = replace(res, inventory_x=res.inventory_x + amount)
-    post_price = res.min_price * math.exp(res.liquidity_rate * new_res.inventory_x)
-    ledger = state.ledger.add(trader, res.asset_x, -amount)
-    ledger = ledger.add(trader, res.asset_y, out)
-    new_state = state.with_ledger(ledger).with_pool(reserve_id, new_res)
+    post_price = _reserve_quote(new_res)
+    new_state = state.transact(trader, ((res.asset_x, -amount), (res.asset_y, out)), {reserve_id: new_res})
     return new_state, [
         Residual("trader_x_balance", state.balance(trader, res.asset_x) - amount),
         Residual("price_floor", post_price - res.min_price),
@@ -377,23 +361,15 @@ def reserve_convert_x_to_y(state: WorldState, reserve_id: str, trader: Entity, a
 # Collateralized lending
 # ---------------------------------------------------------------------------
 
-def collateralized_borrow(
-    state: WorldState,
-    pool_id: str,
-    trader: Entity,
-    collateral: float,
-    exchange_rate: float | None = None,
-    debt_cap: float | None = None,
-) -> OpResult:
+def collateralized_borrow(state: WorldState, pool_id: str, trader: Entity, collateral: float,
+                          exchange_rate: float | None = None, debt_cap: float | None = None) -> OpResult:
     """Deposit collateral and draw collateral * factor / rate of the debt asset.
 
     `exchange_rate` overrides the pool's static rate (oracle-driven pools
     quote a live rate instead).  When `debt_cap` is given the drawn amount
     is clamped to it; otherwise the pool's liquidity limit stays a residual.
     """
-    _require_finite("collateral", collateral)
-    if collateral < 0:
-        raise ConfigError(f"negative collateral {collateral}")
+    _require_finite("collateral", collateral, non_negative=True)
     pool = state.pool(pool_id, LendingPool)
     rate = exchange_rate if exchange_rate is not None else pool.exchange_rate
     if rate is None or rate <= 0:
@@ -401,10 +377,9 @@ def collateralized_borrow(
     drawn = collateral * pool.collateral_factor / rate
     if debt_cap is not None:
         drawn = min(drawn, debt_cap)
-    ledger = state.ledger.add(trader, pool.collateral_asset, -collateral)
-    ledger = ledger.add(trader, pool.debt_asset, drawn)
     new_pool = replace(pool, positions=pool.positions + (LoanPosition(trader, collateral, drawn),))
-    new_state = state.with_ledger(ledger).with_pool(pool_id, new_pool)
+    new_state = state.transact(trader, ((pool.collateral_asset, -collateral), (pool.debt_asset, drawn)),
+                               {pool_id: new_pool})
     return new_state, [
         Residual("collateral_balance", state.balance(trader, pool.collateral_asset) - collateral),
         Residual("debt_liquidity", pool.available_debt - drawn),
@@ -420,10 +395,10 @@ def collateralized_repay(state: WorldState, pool_id: str, trader: Entity) -> OpR
     idx = open_idx[-1]
     position = pool.positions[idx]
     held = state.balance(trader, pool.debt_asset)
-    ledger = state.ledger.add(trader, pool.debt_asset, -position.debt)
-    ledger = ledger.add(trader, pool.collateral_asset, position.collateral)
     new_pool = replace(pool, positions=pool.positions[:idx] + pool.positions[idx + 1:])
-    new_state = state.with_ledger(ledger).with_pool(pool_id, new_pool)
+    new_state = state.transact(
+        trader, ((pool.debt_asset, -position.debt), (pool.collateral_asset, position.collateral)),
+        {pool_id: new_pool})
     return new_state, [Residual("debt_balance", held - position.debt)]
 
 
@@ -437,30 +412,25 @@ def margin_short(state: WorldState, platform_id: str, trader: Entity, collateral
     The platform fronts collateral * leverage / over_collateral_ratio of X;
     its own liquidity must cover everything beyond the posted collateral.
     """
-    _require_finite("margin collateral", collateral)
-    if collateral < 0:
-        raise ConfigError(f"negative margin collateral {collateral}")
+    _require_finite("margin collateral", collateral, non_negative=True)
     platform = state.pool(platform_id, MarginPlatform)
     pushed = collateral * platform.leverage / platform.over_collateral_ratio
     residuals = [
         Residual("collateral_balance", state.balance(trader, platform.collateral_asset) - collateral),
         Residual("platform_liquidity", platform.available_x + collateral - pushed),
     ]
-    ledger = state.ledger.add(trader, platform.collateral_asset, -collateral)
-    state_after = state.with_ledger(ledger)
     if platform.venue is not None:
-        amm = _amm_checked(state_after, platform.venue)
+        amm = _amm_checked(state, platform.venue)
         new_x, new_y, locked_out = constant_product_swap(amm.reserve_x, amm.reserve_y, amm.fee_rate, pushed)
-        new_amm = replace(amm, reserve_x=new_x, reserve_y=new_y)
-        state_after = state_after.with_pool(platform.venue, new_amm)
+        pools = {platform.venue: replace(amm, reserve_x=new_x, reserve_y=new_y)}
     elif platform.external_price is not None:
         locked_out = pushed / platform.external_price
+        pools = {}
     else:
         raise ConfigError(f"margin platform {platform_id!r} has no execution venue")
-    new_locked = dict(platform.locked)
-    new_locked[trader] = new_locked.get(trader, 0.0) + locked_out
-    new_platform = replace(platform, locked=new_locked)
-    return state_after.with_pool(platform_id, new_platform), residuals
+    locked = {**platform.locked, trader: platform.locked.get(trader, 0.0) + locked_out}
+    pools[platform_id] = replace(platform, locked=locked)
+    return state.transact(trader, ((platform.collateral_asset, -collateral),), pools), residuals
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Any
 
 from .models import (
     AutomatedPriceReserve,
-    BalanceLedger,
     ConfigError,
     ConstantProductAmm,
     FixedPriceMarket,
@@ -131,7 +130,7 @@ def scenario_from_dict(doc: dict) -> WorldState:
             stray = referenced - declared
             if stray:
                 raise ConfigError(f"pool {pid!r}: undeclared asset(s) {sorted(stray)}")
-    return WorldState(ledger=BalanceLedger(balances), pools=pools)
+    return WorldState(balances, pools)
 
 
 def load_scenario(path: str | Path) -> tuple[WorldState, dict]:

@@ -218,17 +218,9 @@ class EvaluationTrace:
     objective_value: float
 
 
-_OPS: dict[str, Callable] = {
-    "flash_loan": flash_loan,
-    "flash_repay": flash_repay,
-    "sell_x_for_y_fixed": sell_x_for_y_fixed,
-    "amm_swap_x_for_y": amm_swap_x_for_y,
-    "amm_swap_y_for_x": amm_swap_y_for_x,
-    "reserve_convert_x_to_y": reserve_convert_x_to_y,
-    "collateralized_borrow": collateralized_borrow,
-    "collateralized_repay": collateralized_repay,
-    "margin_short": margin_short,
-}
+_OPS: dict[str, Callable] = {op.__name__: op for op in (
+    flash_loan, flash_repay, sell_x_for_y_fixed, amm_swap_x_for_y, amm_swap_y_for_x,
+    reserve_convert_x_to_y, collateralized_borrow, collateralized_repay, margin_short)}
 
 
 def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]) -> EvaluationTrace:
@@ -262,7 +254,7 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
                 for r in step_residuals:
                     if not math.isfinite(r.value):
                         raise OverflowError(f"residual {r.name} is {r.value}")
-                    residuals.append(replace(r, step=i))
+                    residuals.append(Residual(r.name, r.value, i))
         except (ArithmeticError, PositionError) as exc:
             raise EvaluationError(i, str(exc)) from None
         if not math.isfinite(state.balance(vector.actor, vector.profit_asset)):
@@ -279,16 +271,16 @@ def replay_table(vector: AttackVector, scenario: WorldState) -> Callable[[np.nda
     """`table(P)`: objective, then every residual, at each point of ``(..., n)``,
     as ``(..., 1 + residuals)``, from one call per row of the module's
     `evaluate` (tests and the traced benchmark patch that name).  The last
-    table is kept, so the objective and residuals of a point or batch share
-    its replays; its key holds the shape, as a one-row batch has a point's bytes."""
-    last: tuple = (None, None)
+    table of each batch shape is kept, so the objective and residuals of a
+    point or batch share its replays even when a batch of another shape (a
+    gradient's stencil) is read in between."""
+    last: dict[tuple, tuple[bytes, np.ndarray]] = {}
 
     def table(p) -> np.ndarray:
-        nonlocal last
         p = np.asarray(p, dtype=float)
-        key = (p.shape, p.tobytes())
-        cached = last  # read once: a thread may replace (key, table) whole meanwhile
-        if cached[0] == key:
+        key = p.tobytes()
+        cached = last.get(p.shape)  # one read: a thread may replace the entry whole meanwhile
+        if cached is not None and cached[0] == key:
             return cached[1]
         rows = []
         try:
@@ -299,7 +291,7 @@ def replay_table(vector: AttackVector, scenario: WorldState) -> Callable[[np.nda
             exc.row = len(rows)
             raise
         values = np.array(rows).reshape(*p.shape[:-1], -1)
-        last = (key, values)
+        last[p.shape] = (key, values)
         return values
 
     return table

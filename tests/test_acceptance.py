@@ -188,7 +188,7 @@ def test_criterion_06_model_cross_checks(paa_state, oracle_state):
     checks.append(("spot price 36.55 within 0.1%",
                    abs(spot - 36.55) <= 0.001 * 36.55, f"got {spot:.4f}"))
     shorted, _ = margin_short(
-        paa_state.with_ledger(paa_state.ledger.add("adversary", "ETH", 1300.0)),
+        paa_state.transact("adversary", (("ETH", 1300.0),)),
         "margin", "adversary", 1300.0)
     pushed = shorted.pool("amm").reserve_x - 2817.77
     checks.append(("short routes 5637.62 within 0.1%",
@@ -196,7 +196,7 @@ def test_criterion_06_model_cross_checks(paa_state, oracle_state):
     received = 77.08 - shorted.pool("amm").reserve_y
     checks.append(("short receives 51.35 within 0.5%",
                    abs(received - 51.35) <= 0.005 * 51.35, f"got {received:.3f}"))
-    funded = oracle_state.with_ledger(oracle_state.ledger.add("adversary", "ETH", 1000.0))
+    funded = oracle_state.transact("adversary", (("ETH", 1000.0),))
     converted, _ = reserve_convert_x_to_y(funded, "reserve", "adversary", 360.0)
     rate = converted.balance("adversary", "sUSD") / 360.0
     checks.append(("reserve rate at 360 = 176.62 within 1%",

@@ -30,3 +30,15 @@ def test_traced_run_finds_and_restores_every_hook(monkeypatch):
     for key in ("optimize.solve_iterations", "optimize.grid_points", "vectors.objective_calls"):
         assert tracer.counts[key] > 0, key
     assert (cli.solve, cli.parse_vector, vectors.evaluate, dict(vectors.BUILTIN_VECTORS)) == before
+
+
+def test_model_op_times_replays_every_op(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from flashsim import vectors
+
+    before = dict(vectors._OPS)
+    times = tracing.model_op_times(batches=1, batch_s=1e-4)  # captures the chains' calls, then times them
+    assert sorted(times) == sorted(vectors._OPS)
+    assert all(t > 0 for t in times.values()), times
+    assert vectors._OPS == before

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from flashsim import cli
 from flashsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,6 +118,13 @@ UNUSABLE_OPTIONS = {
 @pytest.mark.parametrize("argv", UNUSABLE_OPTIONS.values(), ids=UNUSABLE_OPTIONS.keys())
 def test_unusable_option_exits_2_with_one_error_line(runner, argv):
     assert_unusable_input(runner.invoke(main, argv))
+
+
+@pytest.mark.parametrize("resolution", ["1", "-5"])
+def test_bad_grid_resolution_exits_2_before_the_solve(runner, monkeypatch, resolution):
+    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solve ran before the grid check"))
+    assert_unusable_input(runner.invoke(main, ["optimize", "--scenario", "oracle_manipulation",
+                                               "--vector", "oracle", "--grid-res", resolution]))
 
 
 class TestOptimize:

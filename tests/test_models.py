@@ -1,14 +1,15 @@
 """Protocol primitive behavior: worked examples plus algebraic properties."""
 
+import copy
 import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashsim import vectors
 from flashsim.models import (
     AutomatedPriceReserve,
-    BalanceLedger,
     ConfigError,
     ConstantProductAmm,
     FixedPriceMarket,
@@ -33,12 +34,13 @@ from flashsim.models import (
     reserve_price_y,
     sell_x_for_y_fixed,
 )
+from flashsim.scenario import builtin_scenario
 
 A = "adversary"
 
 
 def state_with(pools, balances=None):
-    return WorldState(ledger=BalanceLedger(balances or {}), pools=pools)
+    return WorldState(balances or {}, pools)
 
 
 @pytest.fixture
@@ -66,7 +68,7 @@ class TestFlashLoan:
 
     def test_zero_loan_is_noop(self, flash_state):
         after, residuals = flash_loan(flash_state, "flash", A, 0.0)
-        assert after.ledger.entries == dict(flash_state.ledger.entries) | {(A, "ETH"): 0.0}
+        assert after.balances == dict(flash_state.balances) | {(A, "ETH"): 0.0}
         assert residuals[0].value == 10000.0
 
     def test_overdraw_reports_negative_residual(self, flash_state):
@@ -334,7 +336,7 @@ class TestLending:
     def test_repay_short_balance_residual(self):
         mid, _ = collateralized_borrow(self.state, "lend", A, 5500.0)
         drawn = mid.balance(A, "WBTC")
-        poorer = mid.with_ledger(mid.ledger.add(A, "WBTC", -0.5))
+        poorer = mid.transact(A, (("WBTC", -0.5),))
         _, residuals = collateralized_repay(poorer, "lend", A)
         assert residuals[0].value == pytest.approx(-0.5, abs=1e-9)
         assert drawn > 0
@@ -427,20 +429,32 @@ class TestSlippage:
             compute_slippage(0.0, 1.0)
 
 
-def test_operations_are_pure(amm_state):
-    snapshot = dict(amm_state.ledger.entries)
-    first = amm_swap_x_for_y(amm_state, "amm", A, 100.0)
-    second = amm_swap_x_for_y(amm_state, "amm", A, 100.0)
-    assert first == second
-    assert dict(amm_state.ledger.entries) == snapshot
-    assert amm_state.pool("amm").reserve_x == 2817.77
+@pytest.mark.parametrize("name", sorted(vectors._OPS))
+def test_operations_are_pure(name, monkeypatch):
+    """At every call the built-in chains make at their executed points, the op
+    leaves its input state's balances and pools alone and repeats exactly."""
+    op = vectors._OPS[name]
+    calls = []
+    monkeypatch.setitem(vectors._OPS, name, lambda *args, **kwargs: (
+        calls.append((copy.deepcopy(args[0]), args, kwargs)) or op(*args, **kwargs)))
+    for vector_name, scenario in (("paa", "pump_arbitrage"), ("oracle", "oracle_manipulation")):
+        state = builtin_scenario(scenario)[0]
+        vector = vectors.BUILTIN_VECTORS[vector_name](state)
+        vectors.evaluate(vector, state, vector.reference_points["executed"])
+    assert calls
+    for before, args, kwargs in calls:
+        first = op(*args, **kwargs)
+        assert op(*args, **kwargs) == first
+        assert (args[0].balances, args[0].pools) == (before.balances, before.pools)
 
 
 def test_ledger_reads_absent_as_zero():
-    ledger = BalanceLedger()
-    assert ledger.get("nobody", "ETH") == 0.0
-    assert ledger.add("x", "ETH", 3.0).get("x", "ETH") == 3.0
-    assert ledger.get("x", "ETH") == 0.0  # original untouched
+    state = state_with({"amm": ConstantProductAmm("ETH", "WBTC", 1.0, 1.0)})
+    assert state.balance("nobody", "ETH") == 0.0
+    after = state.transact("x", (("ETH", 3.0), ("ETH", -1.0)), {"flash": FlashLoanPool("ETH", 5.0)})
+    assert after.balance("x", "ETH") == 2.0
+    assert list(after.pools) == ["amm", "flash"] and after.pools["amm"] is state.pools["amm"]
+    assert state.balance("x", "ETH") == 0.0 and list(state.pools) == ["amm"]  # original untouched
 
 
 def test_strict_mode_raises_on_violation(flash_state):

@@ -262,6 +262,19 @@ class TestDescription:
         # objective and every residual of a point share its replay
         assert len(replays) <= 2 * 40 ** 2 + 1
 
+    def test_point_replays_survive_a_stencil_in_between(self, paa_state, monkeypatch):
+        replays = []
+        replay = vectors.evaluate
+        monkeypatch.setattr(vectors, "evaluate", lambda *args: replays.append(tuple(args[2])) or replay(*args))
+        parsed = parse_vector(json.loads(DESCRIBED_PAA.read_text()), paa_state)
+        x = np.array([2470.0, 1456.0])
+        stencil = x + 1e-4 * np.concatenate([np.eye(2), -np.eye(2)])  # a gradient's 2n rows
+        replays.clear()
+        parsed.objective(x)
+        parsed.objective(stencil)
+        parsed.constraints[0].fn(x)  # SLSQP's residuals at x, after the gradient
+        assert replays.count(tuple(x)) == 1 and len(replays) == 1 + len(stencil)
+
     def test_shared_replay_never_serves_another_point(self, paa, paa_state):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -327,5 +340,5 @@ def test_ledger_stays_non_negative_on_feasible_paths(paa, paa_state):
             continue
         trace = evaluate(paa, paa_state, params)
         for state in trace.states:
-            assert state.ledger.is_non_negative(tol=1e-9)
+            assert all(v >= -1e-9 for v in state.balances.values())
         checked += 1
