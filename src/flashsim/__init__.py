@@ -1,5 +1,10 @@
 """Deterministic DeFi protocol simulator and attack-parameter optimizer."""
 
+import os
+
+# Read once, when numpy or scipy loads OpenBLAS: idle workers then spin 2**4 cycles, not 2**28.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .models import (
     AutomatedPriceReserve,
     ConfigError,
@@ -11,7 +16,6 @@ from .models import (
     MarginPlatform,
     PositionError,
     Residual,
-    ResidualViolation,
     WorldState,
     amm_spot_price_y,
     amm_swap_x_for_y,

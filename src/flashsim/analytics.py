@@ -21,6 +21,8 @@ from .models import ConfigError, as_number, expect_type
 UNKNOWN = "Unknown"
 OTHERS = "Others"
 MIN_GROUP_SIZE = 5
+# Far above any real amount, gas or price; keeps every product, sum and square finite.
+MAX_QUANTITY = 1e100
 
 # USD marks used when no price file is supplied.
 DEFAULT_PRICES: dict[str, float] = {
@@ -89,8 +91,8 @@ class PriceTable:
     def from_file(path: str | Path) -> "PriceTable":
         doc = expect_type(json.loads(Path(path).read_text()), dict, f"price file {path}")
         table = {asset: as_number(price, f"price of {asset!r}") for asset, price in doc.items()}
-        if any(p <= 0 for p in table.values()):
-            raise ConfigError("prices must be positive")
+        if not all(0 < p <= MAX_QUANTITY for p in table.values()):
+            raise ConfigError(f"prices must be positive and at most {MAX_QUANTITY:g}")
         return PriceTable(table)
 
     def get(self, asset: str) -> float | None:
@@ -106,6 +108,15 @@ class LoanRecord:
     gas: float
 
 
+def _quantity(doc: dict, key: str) -> float:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
+    if not 0 <= value <= MAX_QUANTITY:  # NaN fails too
+        raise ValueError(f"{key} must be in [0, {MAX_QUANTITY:g}], got {value!r}")
+    return float(value)
+
+
 def parse_records(lines: Iterable[str]) -> tuple[list[LoanRecord], list[str]]:
     """Parse JSONL loan records; bad lines are reported, not fatal."""
     records, errors = [], []
@@ -114,17 +125,15 @@ def parse_records(lines: Iterable[str]) -> tuple[list[LoanRecord], list[str]]:
         if not line:
             continue
         try:
-            doc = json.loads(line)
+            doc = expect_type(json.loads(line), dict, "a loan record")
             record = LoanRecord(
-                tx=str(doc["tx"]),
-                touched=tuple(doc.get("touched", [])),
-                asset=str(doc["asset"]),
-                amount=float(doc["amount"]),
-                gas=float(doc["gas"]),
+                tx=expect_type(doc["tx"], str, "tx"),
+                touched=tuple(expect_type(doc.get("touched", []), list, "touched")),
+                asset=expect_type(doc["asset"], str, "asset"),
+                amount=_quantity(doc, "amount"),
+                gas=_quantity(doc, "gas"),
             )
-            if record.amount < 0 or record.gas < 0:
-                raise ValueError("amount and gas must be non-negative")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
             errors.append(f"line {n}: {exc}")
             continue
         records.append(record)

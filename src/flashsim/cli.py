@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, analytics, atomicity
-from .models import ConfigError, STRICT_RESIDUAL_TOL
+from .models import ConfigError
 from .optimize import FEASIBILITY_TOL, OptimizationResult, SolverConfig, grid_oracle, problem, solve
 from .scenario import BUILTIN_SCENARIOS, builtin_scenario, load_scenario
 from .vectors import BUILTIN_VECTORS, AttackVector, EvaluationError, describe, evaluate, parse_vector, with_bounds
@@ -258,7 +258,7 @@ def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
         for i, (state_i, label) in enumerate(zip(trace.states, ["initial"] + [s.label for s in vector.steps]))
     ]
     residual_rows = [
-        {"step": r.step, "name": r.name, "value": r.value, "satisfied": r.value >= -STRICT_RESIDUAL_TOL}
+        {"step": r.step, "name": r.name, "value": r.value, "satisfied": r.satisfied}
         for r in trace.residuals
     ]
     violated = [r for r in residual_rows if not r["satisfied"]]

@@ -33,10 +33,6 @@ class PositionError(Exception):
     """An operation was applied to a position that does not exist."""
 
 
-class ResidualViolation(Exception):
-    """Strict-mode check found a residual below tolerance."""
-
-
 STRICT_RESIDUAL_TOL = 1e-9
 
 
@@ -47,6 +43,11 @@ class Residual:
     name: str
     value: float
     step: int | None = None
+
+    @property
+    def satisfied(self) -> bool:
+        """The rule holds, allowing STRICT_RESIDUAL_TOL of rounding."""
+        return self.value >= -STRICT_RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -221,17 +222,6 @@ def as_number(value, what: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
-
-
-def assert_strict(residuals: list[Residual], tol: float = STRICT_RESIDUAL_TOL) -> None:
-    """Validation-mode check: raise if any residual is meaningfully negative."""
-    violated = [r for r in residuals if r.value < -tol]
-    if violated:
-        worst = min(violated, key=lambda r: r.value)
-        raise ResidualViolation(
-            f"strict mode violation: {worst.name} = {worst.value:.6g} "
-            f"({len(violated)} residual(s) below {-tol:g})"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Classification, aggregation, and wash-trading cost arithmetic."""
 
+import json
 import math
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flashsim.analytics import (
     AddressMap,
@@ -16,6 +20,7 @@ from flashsim.analytics import (
     parse_records,
     wash_trading_cost,
 )
+from flashsim.cli import main
 from flashsim.models import ConfigError
 
 AAVE = "0x398eC7346DcD622eDc5ae82352F02bE94C62d119"
@@ -172,10 +177,24 @@ class TestParsing:
         assert records[1].touched == ()
 
     def test_bad_lines_reported_with_numbers(self):
-        records, errors = parse_records(["not json", '{"tx": "0x1"}'])
+        records, errors = parse_records(["not json", '{"tx": "0x1"}', "[1, 2]"])
         assert records == []
-        assert len(errors) == 2
+        assert len(errors) == 3
         assert errors[0].startswith("line 1")
+        assert errors[2] == "line 3: a loan record must be a JSON object, got list"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("amount", math.nan, "amount must be in [0, 1e+100], got nan"),
+        ("gas", math.inf, "gas must be in [0, 1e+100], got inf"),
+        ("amount", 1e101, "amount must be in [0, 1e+100], got 1e+101"),
+        ("amount", True, "amount must be a number, got bool"),
+        ("gas", "5", "gas must be a number, got str"),
+        ("touched", AAVE, "touched must be a JSON list, got str"),
+        ("tx", 7, "tx must be a string, got int"),
+    ])
+    def test_non_finite_and_mistyped_fields_are_parse_errors(self, field, value, message):
+        doc = {"tx": "0x1", "touched": [AAVE], "asset": "ETH", "amount": 1.0, "gas": 5.0, field: value}
+        assert parse_records([json.dumps(doc)]) == ([], [f"line 1: {message}"])
 
     def test_address_map_file_validation(self, tmp_path):
         path = tmp_path / "map.csv"
@@ -192,9 +211,48 @@ class TestParsing:
         table = PriceTable.from_file(path)
         assert table.get("ETH") == 350.0
         assert table.get("MISSING") is None
-        path.write_text('{"ETH": -1}')
-        with pytest.raises(ConfigError):
-            PriceTable.from_file(path)
+        for bad in ("-1", "NaN", "Infinity", "1e101"):
+            path.write_text('{"ETH": %s}' % bad)
+            with pytest.raises(ConfigError, match="positive and at most"):
+                PriceTable.from_file(path)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+RECORD = st.fixed_dictionaries({
+    "tx": st.text(max_size=6) | JSON_VALUE,
+    "touched": st.lists(st.sampled_from([AAVE, UNISWAP, "0x12345"]), max_size=3) | JSON_VALUE,
+    "asset": st.sampled_from(["ETH", "DAI", "NOPRICE"]) | JSON_VALUE,
+    "amount": st.floats() | JSON_VALUE,
+    "gas": st.floats() | JSON_VALUE,
+})
+LINE = st.one_of(RECORD.map(json.dumps), JSON_VALUE.map(json.dumps), st.text(max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(LINE, max_size=8))
+@example(['{"tx": "0x1", "asset": "ETH", "amount": NaN, "gas": 1}',
+          '{"tx": "0x2", "asset": "ETH", "amount": 1, "gas": Infinity}',
+          '{"tx": "0x3", "touched": "%s", "asset": "ETH", "amount": 1, "gas": 1e200}' % AAVE])
+def test_fuzzed_loan_lines_are_records_or_parse_errors(lines):
+    text = "\n".join(lines) + "\n"
+    numbered = text.splitlines()
+    records, errors = parse_records(numbered)
+    assert len(records) + len(errors) == sum(1 for line in numbered if line.strip())
+
+    res = CliRunner().invoke(main, ["--format", "structured", "classify", "--input", "-"], input=text)
+    assert res.exception is None, repr(res.exception)
+    assert res.exit_code == 0, res.output
+    results = json.loads(res.output, parse_constant=_no_constant)["results"]
+    assert len(results["parse_errors"]) == len(errors)
+    assert results["total"]["count"] + len(results["classification_errors"]) == len(records)
 
 
 class TestWashTradingCost:

@@ -1,6 +1,9 @@
 """End-to-end command behavior: formats, exit codes, golden structured reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +12,9 @@ from click.testing import CliRunner
 from flashsim import cli
 from flashsim.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
-DATA = Path(__file__).parents[1] / "src" / "flashsim" / "data"
+ROOT = Path(__file__).parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+DATA = ROOT / "src" / "flashsim" / "data"
 TRACE = DATA / "sample_trades.csv"
 
 
@@ -360,3 +364,39 @@ class TestDescribe:
         assert replay.exit_code == 0, replay.output
         objective = json.loads(replay.output)["results"]["objective"]
         assert objective == pytest.approx(2489.07, rel=1e-3)
+
+
+# Records the thread timeout OpenBLAS will read, at the moment numpy starts to load.
+SPY_ON_NUMPY = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+import flashsim
+print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
+"""
+
+
+def spawn(args, **env):
+    """`python <args>` in a fresh interpreter, with the package uninstalled on PYTHONPATH."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**environ, **env}, cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+
+
+class TestSpawnedCli:
+    @pytest.mark.parametrize("preset, expected", [(None, "4"), ("30", "30")])
+    def test_openblas_thread_timeout_is_set_before_numpy_loads(self, preset, expected):
+        res = spawn(["-c", SPY_ON_NUMPY], **({} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == [expected, expected]
+
+    def test_optimize_paa_matches_golden(self):
+        res = spawn(["-m", "flashsim.cli", "--format", "structured", "optimize",
+                     "--scenario", "pump_arbitrage", "--vector", "paa"])
+        assert res.returncode == 0, res.stderr
+        assert stable(res.stdout) == json.loads((GOLDEN / "optimize_paa.json").read_text())
