@@ -167,9 +167,10 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, max_i
     config = SolverConfig(max_iterations=max_iter, tolerance=tol, fd_step=fd_step,
                           starts=starts, seed=obj["seed"])
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
-    # the grid first: it rejects a bad resolution before the costlier solve
-    grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
+    if vector.n_params <= 3 and resolution < 2:  # the grid's own check, before any work
+        raise ConfigError("grid resolution must be at least 2")
     best = solve(vector, state, config, ignore=ignored)
+    grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
     prob = problem(vector, state, ignored)
 
     rel_gap = None

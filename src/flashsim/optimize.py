@@ -8,11 +8,12 @@ comparably.  :class:`Problem`, built once per solve or scan by
 :func:`problem`, is the single place where residuals are scaled; the
 solver, the grid oracle and the CLI's constraint report read it.
 Objectives and constraints take a point or a batch, closed form and replayed
-chain alike: a gradient is one call on its 2n stencil rows, a scan one call.
+chain alike: a gradient is one call on its 2n stencil rows, SLSQP's constraint
+Jacobian one call on x and its n forward steps, a scan one call per block.
 
 ``grid_oracle`` is the independent check: an exhaustive feasible-box scan
-(plus one local refinement pass) that certifies solver results on one- to
-three-parameter problems.
+(plus one local refinement pass) that certifies solver results for 1 to 3
+parameters, in memory bounded at any resolution; its time grows as res ** n.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ from .models import ConfigError, WorldState
 from .vectors import AttackVector, ConstraintSpec, EvaluationError, closed_form_objective
 
 FEASIBILITY_TOL = 1e-6
+GRID_BLOCK = 4096  # mesh points per grid oracle call
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)  # SciPy's absolute step for SLSQP's constraint Jacobian
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """`fd_step` is only the central-difference step of the objective gradient:
-    SLSQP differences the constraint vector itself, with SciPy's forward
-    2-point step of about 1.5e-8, clipped to the bounds."""
+    the constraint Jacobian is SciPy's own forward 2-point difference for
+    SLSQP, with a step of about 1.5e-8, clipped to the bounds."""
 
     max_iterations: int = 200
     tolerance: float = 1e-9
@@ -89,17 +92,12 @@ class Problem:
     bounds: tuple[tuple[float, float], ...]
 
     def residuals(self, p) -> np.ndarray:
-        """Scaled residual of every active constraint at one point."""
+        """Scaled residual of every active constraint, ``(..., m)`` at a point or batch ``(..., n)``."""
         p = np.asarray(p, dtype=float)
-        return np.array([float(c.fn(p)) for c in self.constraints]) / self.scales
-
-    def min_residual(self, p) -> np.ndarray:
-        """Smallest scaled residual at one point ``(n,)``, or per point of ``(..., n)``."""
-        p = np.asarray(p, dtype=float)
-        worst = np.full(p.shape[:-1], np.inf)
-        for c, s in zip(self.constraints, self.scales):
-            np.minimum(worst, np.asarray(c.fn(p), dtype=float) / s, out=worst)
-        return worst
+        values = np.empty((len(self.constraints),) + p.shape[:-1])  # constraint-major: fast min over m
+        for j, c in enumerate(self.constraints):
+            values[j] = c.fn(p)
+        return np.moveaxis(values, 0, -1) / self.scales
 
 
 def problem(vector: AttackVector, scenario: WorldState, ignore: Iterable[str] = ()) -> Problem:
@@ -133,6 +131,20 @@ def _central_difference(f, params: np.ndarray, step: float) -> np.ndarray:
     except EvaluationError as exc:
         raise EvaluationError(exc.step, f"while differencing coordinate {exc.row % n}: {exc}") from None
     return (values[:n] - values[n:]) / (2.0 * step)
+
+
+def _forward_jacobian(f, x, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """SciPy's 2-point Jacobian of `f` for SLSQP, bit for bit, from one call on x and its n forward
+    steps: sqrt(eps), relative where x + sqrt(eps) == x, reversed or cut short at the box."""
+    x = np.clip(x, lo, hi)
+    h = np.where(x + _SQRT_EPS == x, _SQRT_EPS * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x)), _SQRT_EPS)
+    below, above = x - lo, hi - x
+    fitting = np.abs(h) <= np.maximum(below, above)
+    h = np.where(fitting, np.where((x + h < lo) | (x + h > hi), -h, h), np.where(above >= below, above, -below))
+    rows = np.tile(x, (len(x) + 1, 1))
+    rows[np.arange(1, len(x) + 1), np.arange(len(x))] = x + h
+    values = f(rows)
+    return ((values[1:] - values[0]) / ((x + h) - x)[:, None]).T
 
 
 def finite_diff_gradient(
@@ -177,8 +189,10 @@ def solve(
     def grad_neg(p):
         return -_central_difference(prob.objective, np.asarray(p, dtype=float), config.fd_step)
 
-    constraints = [{"type": "ineq", "fun": prob.residuals}] if prob.constraints else []
     lo, hi = np.array(vector.bounds, dtype=float).T
+    constraints = [{"type": "ineq", "fun": prob.residuals}] if prob.constraints else []
+    if constraints and (lo < hi).all():  # SciPy removes fixed parameters only when it differences
+        constraints[0]["jac"] = lambda p: _forward_jacobian(prob.residuals, p, lo, hi)
     starts = latin_hypercube(config.starts, vector.bounds, config.seed)
     ends: list[tuple[float, np.ndarray, float]] = []  # (objective, params, min residual)
     iterations = 0
@@ -192,7 +206,7 @@ def solve(
         x = np.clip(res.x, lo, hi)
         value = float(prob.objective(x))
         if np.isfinite(value):
-            ends.append((value, x, float(prob.min_residual(x))))
+            ends.append((value, x, float(prob.residuals(x).min(initial=np.inf))))
 
     elapsed = time.perf_counter() - started
     if not ends:
@@ -231,15 +245,20 @@ def grid_oracle(
     prob = problem(vector, scenario, ignore)
 
     def scan(lo: np.ndarray, hi: np.ndarray) -> tuple[bool, float, np.ndarray, float]:
-        """(any feasible, objective, point, smallest scaled residual) at the best
-        feasible mesh point, or at the `lo` corner if none is."""
-        mesh = np.meshgrid(*(np.linspace(a, b, resolution) for a, b in zip(lo, hi)), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        values = np.asarray(prob.objective(pts), dtype=float)
-        worst = prob.min_residual(pts)
-        feasible = worst >= -FEASIBILITY_TOL
-        idx = int(np.argmax(np.where(feasible, values, -np.inf)))
-        return bool(feasible.any()), float(values[idx]), pts[idx], float(worst[idx])
+        """(feasible, objective, point, smallest scaled residual) at the first best
+        feasible point of the row-major mesh, or at its `lo` corner if none is."""
+        axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
+        size, winners = resolution ** len(axes), []  # per block: key, objective, point, worst
+        for start in range(0, size, GRID_BLOCK):
+            index = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, size)), (resolution,) * len(axes))
+            pts = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+            values = np.asarray(prob.objective(pts), dtype=float)
+            worst = prob.residuals(pts).min(axis=-1, initial=np.inf)
+            keys = np.where(worst >= -FEASIBILITY_TOL, values, -np.inf)
+            k = int(np.argmax(keys))  # copies, so no view keeps its block alive
+            winners.append((keys[k], float(values[k]), pts[k].copy(), float(worst[k])))
+        _, value, point, worst = winners[int(np.argmax([w[0] for w in winners]))]
+        return worst >= -FEASIBILITY_TOL, value, point, worst
 
     lo, hi = np.array(vector.bounds, dtype=float).T
     best = scan(lo, hi)

@@ -497,7 +497,7 @@ def build_oracle_vector(
         ConstraintSpec("maxY", "fixed market inventory covers the purchase", 4, True,
                        lambda p: max_y - _coord(p, 2) / p_m),
         ConstraintSpec("zY", "lender liquidity covers the drawn amount", 5, False,
-                       lambda p: z_y - acquired_y(p) * cf * (u_x0 + _coord(p, 0)) ** 2 / k),
+                       lambda p: z_y - acquired_y(p) * cf * np.square(u_x0 + _coord(p, 0)) / k),
     )
 
     borrow_extra: dict[str, Binding] = {"exchange_rate": CollateralRate(amm_id, 2)}

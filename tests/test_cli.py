@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from flashsim import cli
 from flashsim.cli import main
+from flashsim.models import ConfigError
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -129,6 +130,16 @@ def test_bad_grid_resolution_exits_2_before_the_solve(runner, monkeypatch, resol
     monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solve ran before the grid check"))
     assert_unusable_input(runner.invoke(main, ["optimize", "--scenario", "oracle_manipulation",
                                                "--vector", "oracle", "--grid-res", resolution]))
+
+
+def test_failed_solve_runs_no_grid(runner, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise ConfigError("negative convert amount -0.0001")
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    monkeypatch.setattr(cli, "grid_oracle", lambda *args, **kwargs: pytest.fail("the grid ran after a failed solve"))
+    res = runner.invoke(main, ["optimize", "--scenario", "oracle_manipulation", "--vector", "oracle"])
+    assert_unusable_input(res)
+    assert res.stderr == "error: negative convert amount -0.0001\n"
 
 
 class TestOptimize:

@@ -2,17 +2,24 @@
 
 import math
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
 from flashsim.models import ConfigError
 from flashsim.optimize import (
+    FEASIBILITY_TOL,
+    GRID_BLOCK,
     SolverConfig,
     _central_difference,
+    _forward_jacobian,
     finite_diff_gradient,
     grid_oracle,
     latin_hypercube,
+    problem,
     solve,
 )
 from flashsim.vectors import (
@@ -45,6 +52,40 @@ def linear_test_vector(coeffs=(2.0, 3.0)):
         actor="adversary", profit_asset="X", objective_name="linear form",
         constraints=(), objective=lambda p: (np.asarray(p, dtype=float)[..., :] * c).sum(axis=-1),
     )
+
+
+def full_mesh_grid(vector, scenario, resolution, ignore=()):
+    """The grid oracle as one call on its whole mesh, the reference for the blocked
+    scan: (feasible, objective, params, max violation)."""
+    prob = problem(vector, scenario, ignore)
+
+    def scan(lo, hi):
+        mesh = np.meshgrid(*(np.linspace(a, b, resolution) for a, b in zip(lo, hi)), indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        values = np.asarray(prob.objective(pts), dtype=float)
+        worst = np.full(len(pts), np.inf)
+        for c, scale in zip(prob.constraints, prob.scales):
+            worst = np.minimum(worst, np.asarray(c.fn(pts), dtype=float) / scale)
+        feasible = worst >= -FEASIBILITY_TOL
+        i = int(np.argmax(np.where(feasible, values, -np.inf)))
+        return bool(feasible.any()), float(values[i]), pts[i], float(worst[i])
+
+    lo, hi = np.array(vector.bounds, dtype=float).T
+    best = scan(lo, hi)
+    if best[0]:
+        cell = (hi - lo) / (resolution - 1)
+        fine = scan(np.maximum(lo, best[2] - cell), np.minimum(hi, best[2] + cell))
+        if fine[0] and fine[1] > best[1]:
+            best = fine
+    return best[0], best[1], tuple(float(v) for v in best[2]), best[3]
+
+
+def assert_grid_matches_full_mesh(vector, scenario, resolution, ignore=()):
+    grid = grid_oracle(vector, scenario, resolution, ignore=ignore)
+    expected = full_mesh_grid(vector, scenario, resolution, ignore)
+    assert (grid.feasible, grid.best_objective, grid.best_params, grid.max_violation) == expected
+    assert grid.iterations == resolution ** vector.n_params * (2 if grid.feasible else 1)
+    return grid
 
 
 class TestSolve:
@@ -107,6 +148,15 @@ class TestSolve:
         result = solve(oracle, oracle_state, SolverConfig(seed=5))
         assert result.max_violation >= -1e-6
 
+    def test_fixed_parameter_is_solved_over_the_others(self, oracle, oracle_state):
+        # SciPy drops a parameter fixed by its bounds only while it differences
+        # the constraints itself; a Jacobian with its NaN column stalls SLSQP
+        fixed = with_bounds(oracle, {0: (300.0, 300.0)})
+        result = solve(fixed, oracle_state, SolverConfig(seed=0, starts=4))
+        assert result.feasible
+        assert result.best_params[0] == 300.0
+        assert result.best_objective == pytest.approx(546.7721097, rel=1e-8)
+
 
 class TestGridOracle:
     def test_paa_agreement_within_one_percent(self, paa, paa_state):
@@ -151,6 +201,39 @@ class TestGridOracle:
         vector = AttackVector(**{**vector.__dict__, "constraints": (impossible,)})
         grid = grid_oracle(vector, paa_state, 5)
         assert not grid.feasible
+
+    @pytest.mark.parametrize("name, resolution, ignore", [
+        ("paa", 200, ()), ("oracle", 60, ()), ("oracle", 60, ("zY",)), ("oracle", 17, ())])
+    def test_blocks_match_one_call_on_the_full_mesh(self, name, resolution, ignore, request):
+        vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
+        assert_grid_matches_full_mesh(vector, state, resolution, ignore)
+        assert resolution ** vector.n_params > GRID_BLOCK  # 17 ** 3 also leaves a partial last block
+
+    def test_all_infeasible_box_returns_lo_corner(self, paa_state):
+        never = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -1.0 - np.asarray(p)[..., 0])
+        vector = replace(linear_test_vector((2.0, 3.0, 1.0)), constraints=(never,))
+        grid = assert_grid_matches_full_mesh(vector, paa_state, 17)
+        assert not grid.feasible
+        assert grid.best_params == (0.0, 0.0, 0.0)
+        assert grid.max_violation == -1.0
+
+    def test_tie_goes_to_the_first_mesh_point(self, paa_state):
+        # the plateau p1 >= 50 starts at flat index 8 * 17 ** 2 and runs past the first block
+        plateau = replace(linear_test_vector((1.0, 1.0, 1.0)),
+                          objective=lambda p: np.minimum(np.asarray(p)[..., 0], 50.0))
+        grid = assert_grid_matches_full_mesh(plateau, paa_state, 17)
+        assert 8 * 17 ** 2 < GRID_BLOCK < 17 ** 3
+        assert grid.best_params == (50.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("resolution", [60, 90])
+    def test_memory_is_bounded_at_any_resolution(self, oracle, oracle_state, resolution):
+        tracemalloc.start()
+        try:
+            grid_oracle(oracle, oracle_state, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestFiniteDifferences:
@@ -197,6 +280,61 @@ class TestFiniteDifferences:
     def test_requires_interior_point(self, paa, paa_state):
         with pytest.raises(ValueError):
             finite_diff_gradient(paa, paa_state, (0.0, 100.0), step=1.0)
+
+
+class TestConstraintJacobian:
+    """SLSQP's constraint Jacobian is SciPy's own 2-point one, bit for bit."""
+
+    @staticmethod
+    def assert_scipy_jacobian(prob, x):
+        lo, hi = np.array(prob.bounds, dtype=float).T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = approx_derivative(prob.residuals, x, method="2-point",
+                                         abs_step=np.sqrt(np.finfo(float).eps), bounds=(lo, hi))
+            jacobian = _forward_jacobian(prob.residuals, x, lo, hi)
+        assert np.array_equal(jacobian, expected, equal_nan=True)
+        return jacobian
+
+    @pytest.mark.parametrize("name, ignore, points", [
+        ("paa", (), 40), ("oracle", (), 40), ("oracle", ("zY",), 40), ("described_paa", (), 4)])
+    def test_random_interior_points(self, name, ignore, points, request):
+        state = request.getfixturevalue(f"{name.removeprefix('described_')}_state")
+        vector = request.getfixturevalue(name.removeprefix("described_"))
+        if name.startswith("described_"):
+            vector = parse_vector(describe(vector), state)
+        prob = problem(vector, state, ignore)
+        lo, hi = np.array(prob.bounds).T
+        for x in lo + np.random.default_rng(3).random((points, len(lo))) * (hi - lo):
+            self.assert_scipy_jacobian(prob, x)
+
+    @pytest.mark.parametrize("name", ["paa", "oracle"])
+    def test_points_on_and_near_the_bounds(self, name, request):
+        prob = problem(request.getfixturevalue(name), request.getfixturevalue(f"{name}_state"))
+        lo, hi = np.array(prob.bounds).T
+        inner = lo + np.random.default_rng(4).random(len(lo)) * (hi - lo)
+        self.assert_scipy_jacobian(prob, hi.copy())
+        self.assert_scipy_jacobian(prob, lo.copy())
+        for i in range(len(lo)):
+            for at in (hi[i], hi[i] - 1e-9, lo[i]):  # on the upper bound or within a step of it, the step turns
+                x = inner.copy()
+                x[i] = at
+                self.assert_scipy_jacobian(prob, x)
+        # SLSQP may step just outside the box; SciPy clips x before differencing
+        outside = hi + 1e-9 * (hi - lo)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            clipped = self.assert_scipy_jacobian(prob, hi.copy())
+            assert np.array_equal(_forward_jacobian(prob.residuals, outside, lo, hi), clipped, equal_nan=True)
+
+    def test_zero_width_box_gives_a_nan_column(self, oracle, oracle_state):
+        prob = problem(with_bounds(oracle, {0: (300.0, 300.0)}), oracle_state)
+        jacobian = self.assert_scipy_jacobian(prob, np.array([300.0, 500.0, 3000.0]))
+        assert np.isnan(jacobian[:, 0]).all() and not np.isnan(jacobian[:, 1:]).any()
+
+    def test_vanishing_step_falls_back_to_a_relative_one(self, paa, paa_state):
+        prob = problem(with_bounds(paa, {0: (0.0, 1e12)}), paa_state)
+        x = np.array([5e11, 100.0])
+        assert x[0] + np.sqrt(np.finfo(float).eps) == x[0]
+        self.assert_scipy_jacobian(prob, x)
 
 
 def test_latin_hypercube_covers_box():

@@ -184,6 +184,15 @@ class TestBuiltins:
                 assert math.isclose(algebraic, replayed, rel_tol=1e-9, abs_tol=1e-9)
                 checked += 1
 
+    @pytest.mark.parametrize("name", ["paa", "oracle"])
+    def test_closed_forms_take_a_point_or_a_batch_bitwise(self, name, request):
+        # so a Jacobian from one batch equals SciPy's from one call per point
+        vector = request.getfixturevalue(name)
+        lo, hi = np.array(vector.bounds).T
+        batch = lo + np.random.default_rng(0).random((3000, vector.n_params)) * (hi - lo)
+        for fn in [vector.objective] + [c.fn for c in vector.constraints]:
+            assert np.array_equal(fn(batch), [fn(p) for p in batch])
+
     def test_canonical_residuals_match_mechanical_trace(self, oracle, oracle_state):
         params = np.array([700.0, 450.0, 3000.0])
         trace = evaluate(oracle, oracle_state, params)
