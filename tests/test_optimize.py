@@ -312,7 +312,7 @@ class TestConstraintJacobian:
         prob = problem(request.getfixturevalue(name), request.getfixturevalue(f"{name}_state"))
         lo, hi = np.array(prob.bounds).T
         inner = lo + np.random.default_rng(4).random(len(lo)) * (hi - lo)
-        self.assert_scipy_jacobian(prob, hi.copy())
+        at_hi = self.assert_scipy_jacobian(prob, hi.copy())
         self.assert_scipy_jacobian(prob, lo.copy())
         for i in range(len(lo)):
             for at in (hi[i], hi[i] - 1e-9, lo[i]):  # on the upper bound or within a step of it, the step turns
@@ -321,9 +321,7 @@ class TestConstraintJacobian:
                 self.assert_scipy_jacobian(prob, x)
         # SLSQP may step just outside the box; SciPy clips x before differencing
         outside = hi + 1e-9 * (hi - lo)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            clipped = self.assert_scipy_jacobian(prob, hi.copy())
-            assert np.array_equal(_forward_jacobian(prob.residuals, outside, lo, hi), clipped, equal_nan=True)
+        assert np.array_equal(_forward_jacobian(prob.residuals, outside, lo, hi), at_hi, equal_nan=True)
 
     def test_zero_width_box_gives_a_nan_column(self, oracle, oracle_state):
         prob = problem(with_bounds(oracle, {0: (300.0, 300.0)}), oracle_state)
