@@ -4,6 +4,9 @@ Works on pre-exported loan records (line-delimited JSON), never a chain
 client.  Each record lists the contract addresses a transaction touched;
 classification maps those to project names and aggregation groups records
 by the resulting platform set, the way incident surveys tabulate usage.
+`tabulate` reads the lines a chunk at a time and folds each chunk's records
+into a running `UsageTally`, so memory grows by 24 bytes per record, not by
+the record, and the table is the one the whole list would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -11,16 +14,18 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .models import ConfigError, as_number, expect_type
 
 UNKNOWN = "Unknown"
 OTHERS = "Others"
 MIN_GROUP_SIZE = 5
+CHUNK_LINES = 1024  # input lines parsed and aggregated at a time by `tabulate`
 # Far above any real amount, gas or price; keeps every product, sum and square finite.
 MAX_QUANTITY = 1e100
 
@@ -117,10 +122,10 @@ def _quantity(doc: dict, key: str) -> float:
     return float(value)
 
 
-def parse_records(lines: Iterable[str]) -> tuple[list[LoanRecord], list[str]]:
-    """Parse JSONL loan records; bad lines are reported, not fatal."""
+def parse_records(lines: Iterable[str], start: int = 1) -> tuple[list[LoanRecord], list[str]]:
+    """Parse JSONL loan records, numbering lines from `start`; bad lines are reported, not fatal."""
     records, errors = [], []
-    for n, line in enumerate(lines, start=1):
+    for n, line in enumerate(lines, start=start):
         line = line.strip()
         if not line:
             continue
@@ -184,51 +189,118 @@ def _gas_stats(gas: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(variance)
 
 
+class _Group:
+    """One platform set's records as two floats each: priced USD terms and gas."""
+
+    __slots__ = ("usd", "gas", "unpriced")
+
+    def __init__(self):
+        self.usd, self.gas, self.unpriced = array("d"), array("d"), 0
+
+
+class UsageTally:
+    """Running state of `aggregate`, so records can be folded in chunk by chunk.
+
+    A platform set keeps its records' USD terms and gas in input order, not
+    the records: Others sums several sets' terms in first-seen order and the
+    gas spread takes two passes.  The total keeps a running USD sum and
+    every gas.  That is 24 bytes per record.
+    """
+
+    def __init__(self):
+        self.groups: dict[tuple[str, ...], _Group] = {}
+        self.errors: list[str] = []
+        self.usd, self.unpriced, self.gas = 0.0, 0, array("d")
+
+    def add(self, key: tuple[str, ...], usd: float | None, gas: float) -> None:
+        group = self.groups.get(key)
+        if group is None:
+            group = self.groups[key] = _Group()
+        if usd is None:
+            group.unpriced += 1
+            self.unpriced += 1
+        else:
+            group.usd.append(usd)
+            self.usd += usd
+        group.gas.append(gas)
+        self.gas.append(gas)
+
+    def table(self) -> UsageTable:
+        named: list[UsageRow] = []
+        folded: list[_Group] = []
+        for key, group in self.groups.items():
+            if len(group.gas) < MIN_GROUP_SIZE:
+                folded.append(group)
+            else:
+                named.append(_row(key, [group]))
+        named.sort(key=lambda row: (-row.count, row.platforms))
+        if folded:
+            named.append(_row((OTHERS,), folded))
+        total = UsageRow(("Total",), len(self.gas), self.usd, *_gas_stats(self.gas), self.unpriced)
+        return UsageTable(tuple(named), total, tuple(self.errors))
+
+
+def _row(platforms: tuple[str, ...], groups: Sequence[_Group]) -> UsageRow:
+    usd, gas = 0.0, array("d")
+    for group in groups:
+        for term in group.usd:
+            usd += term
+        gas += group.gas
+    return UsageRow(platforms, len(gas), usd, *_gas_stats(gas), sum(g.unpriced for g in groups))
+
+
 def aggregate(
-    records: Iterable[LoanRecord], addr_map: AddressMap, prices: PriceTable
-) -> UsageTable:
-    """Per-platform-set usage rows; sets seen fewer than 5 times fold into Others."""
-    groups: dict[tuple[str, ...], list[LoanRecord]] = {}
-    errors: list[str] = []
-    kept: list[LoanRecord] = []
+    records: Iterable[LoanRecord], addr_map: AddressMap, prices: PriceTable,
+    into: UsageTally | None = None,
+) -> UsageTable | None:
+    """Per-platform-set usage rows; sets seen fewer than 5 times fold into Others.
+
+    Given a running tally `into`, the records are only folded into it and
+    nothing is returned; `into.table()` gives the rows of every chunk folded.
+    """
+    tally = UsageTally() if into is None else into
     for record in records:
         try:
             key = classify(record, addr_map)
         except RecordError as exc:
-            errors.append(f"{record.tx}: {exc}")
+            tally.errors.append(f"{record.tx}: {exc}")
             continue
-        groups.setdefault(key, []).append(record)
-        kept.append(record)
+        price = prices.get(record.asset)
+        tally.add(key, None if price is None else record.amount * price, record.gas)
+    return tally.table() if into is None else None
 
-    def usd_and_unpriced(batch: Sequence[LoanRecord]) -> tuple[float, int]:
-        total, unpriced = 0.0, 0
-        for r in batch:
-            price = prices.get(r.asset)
-            if price is None:
-                unpriced += 1
-            else:
-                total += r.amount * price
-        return total, unpriced
 
-    named: list[UsageRow] = []
-    folded: list[LoanRecord] = []
-    for key, batch in groups.items():
-        if len(batch) < MIN_GROUP_SIZE:
-            folded.extend(batch)
-            continue
-        usd, unpriced = usd_and_unpriced(batch)
-        mean, std = _gas_stats([r.gas for r in batch])
-        named.append(UsageRow(key, len(batch), usd, mean, std, unpriced))
-    named.sort(key=lambda row: (-row.count, row.platforms))
-    if folded:
-        usd, unpriced = usd_and_unpriced(folded)
-        mean, std = _gas_stats([r.gas for r in folded])
-        named.append(UsageRow((OTHERS,), len(folded), usd, mean, std, unpriced))
+def tabulate(
+    lines: Iterable[str], addr_map: AddressMap, prices: PriceTable
+) -> tuple[UsageTable, list[str]]:
+    """Usage table and parse errors of JSONL text, CHUNK_LINES lines at a time.
 
-    usd, unpriced = usd_and_unpriced(kept)
-    mean, std = _gas_stats([r.gas for r in kept])
-    total = UsageRow(("Total",), len(kept), usd, mean, std, unpriced)
-    return UsageTable(tuple(named), total, tuple(errors))
+    `lines` are a text stream's lines.  Each is cut with `str.splitlines()`,
+    so the numbered lines are exactly those of `text.splitlines()` on the
+    whole text, and memory holds one chunk's records besides the tally.
+    """
+    tally, parse_errors, first = UsageTally(), [], 1
+    for chunk in _chunks(lines):
+        records, errors = parse_records(chunk, first)
+        parse_errors += errors
+        aggregate(records, addr_map, prices, into=tally)
+        first += len(chunk)
+        del chunk, records  # freed before the next chunk is read
+    return tally.table(), parse_errors
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The `str.splitlines()` pieces of `lines`, CHUNK_LINES or more at a time.
+
+    The last chunk may be empty, so there is always one.
+    """
+    chunk: list[str] = []
+    for line in lines:
+        chunk += line.splitlines()
+        if len(chunk) >= CHUNK_LINES:
+            yield chunk
+            chunk = []
+    yield chunk
 
 
 def wash_trading_cost(

@@ -228,6 +228,7 @@ def _replay(
             block_hv[row] = held * (mean_after - mean_before)
         naarb.append(block_naarb)
         hv.append(block_hv)
+        del xy, amount_a, amount_b  # free this block before the next one is built
     naarb, hv = np.concatenate(naarb, axis=1), np.concatenate(hv, axis=1)
     return aarb, naarb, hv, aarb - (naarb - hv)
 
@@ -349,15 +350,28 @@ class SweepRow:
         }
 
 
+BOOTSTRAP_BLOCK = 1 << 15  # index draws per block: 512 KiB of indices and gathered samples
+
+
 def bootstrap_mean_ci(
     samples: np.ndarray, rng: np.random.Generator, n_resamples: int = 1000, alpha: float = 0.05
 ) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval of the sample mean."""
+    """Percentile bootstrap confidence interval of the sample mean.
+
+    The resamples are drawn a block of rows at a time, about BOOTSTRAP_BLOCK
+    indices each and at least one row; the generator yields the same
+    indices as one `(n_resamples, n)` draw, so memory holds one block
+    whatever the sample and resample counts.
+    """
     if n_resamples < 1:
         raise ConfigError(f"need at least one bootstrap resample, got {n_resamples}")
     samples = np.asarray(samples, dtype=float)
-    idx = rng.integers(0, len(samples), size=(n_resamples, len(samples)))
-    means = samples[idx].mean(axis=1)
+    n = len(samples)
+    rows = max(1, BOOTSTRAP_BLOCK // max(n, 1))
+    means = np.empty(n_resamples)
+    for first in range(0, n_resamples, rows):
+        last = min(first + rows, n_resamples)
+        means[first:last] = samples[rng.integers(0, n, size=(last - first, n))].mean(axis=1)
     low, high = np.percentile(means, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return float(low), float(high)
 

@@ -15,9 +15,10 @@ import hashlib
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from importlib import resources
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -48,6 +49,13 @@ def _hash_config(command: str, config: dict) -> str:
 
 def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _hashed(lines: Iterable[str], digest) -> Iterator[str]:
+    """`lines` as they are, each fed to `digest` as UTF-8 on the way."""
+    for line in lines:
+        digest.update(line.encode())
+        yield line
 
 
 @contextmanager
@@ -340,9 +348,10 @@ def classify_cmd(obj, input_file, map_file, prices_file):
     """Aggregate flash-loan records by the platform sets they touch."""
     addr_map = analytics.AddressMap.from_file(map_file) if map_file else analytics.AddressMap.bundled()
     prices = analytics.PriceTable.from_file(prices_file) if prices_file else analytics.PriceTable.default()
-    text = sys.stdin.read() if input_file == "-" else Path(input_file).read_text()
-    records, parse_errors = analytics.parse_records(text.splitlines())
-    table = analytics.aggregate(records, addr_map, prices)
+    digest = hashlib.sha256()
+    # opened as Path.read_text opens a file; stdin is read as it is and left open
+    with nullcontext(sys.stdin) if input_file == "-" else open(input_file) as stream:
+        table, parse_errors = analytics.tabulate(_hashed(stream, digest), addr_map, prices)
     config_echo = {"input": input_file, "map": map_file, "prices": prices_file}
     results = {
         "rows": [r.as_dict() for r in table.rows],
@@ -353,7 +362,7 @@ def classify_cmd(obj, input_file, map_file, prices_file):
     text_out = analytics.format_table_text(table)
     if parse_errors:
         text_out += f"\nskipped {len(parse_errors)} unparseable line(s)"
-    return (config_echo, _hash_bytes(text.encode()), results, text_out.splitlines(),
+    return (config_echo, digest.hexdigest(), results, text_out.splitlines(),
             analytics.format_table_csv(table).splitlines(), 0)
 
 

@@ -206,12 +206,12 @@ def _require_finite(name: str, value: float, non_negative: bool = False) -> None
         raise ConfigError(f"negative {name} {value}")
 
 
-_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string"}
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", str: "a string", int: "a JSON integer"}
 
 
 def expect_type(value, kind: type, what: str):
     """`value` if it has the JSON type `kind`, else a ConfigError naming `what`."""
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
     return value
 

@@ -628,7 +628,7 @@ def parse_vector(doc: dict, scenario: WorldState) -> AttackVector:
     """
     try:
         doc = expect_type(doc, dict, "vector description")
-        n_params = int(doc["n_params"])
+        n_params = expect_type(doc["n_params"], int, "n_params")
         steps = []
         for i, step in enumerate(expect_type(doc["steps"], list, "steps"), start=1):
             step = expect_type(step, dict, f"step {i}")
@@ -643,7 +643,8 @@ def parse_vector(doc: dict, scenario: WorldState) -> AttackVector:
         actor = expect_type(doc["actor"], str, "actor")
         asset = expect_type(doc["profit_asset"], str, "profit_asset")
         vector = AttackVector(
-            name=doc.get("name", "custom"), steps=tuple(steps), n_params=n_params,
+            name=expect_type(doc.get("name", "custom"), str, "name"),
+            steps=tuple(steps), n_params=n_params,
             bounds=tuple(_bound(i, pair) for i, pair in enumerate(bounds)),
             actor=actor, profit_asset=asset, objective_name=f"net {asset} gain for {actor}",
             constraints=(),

@@ -1,18 +1,27 @@
 """Classification, aggregation, and wash-trading cost arithmetic."""
 
+import hashlib
 import json
 import math
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flashsim import analytics
 from flashsim.analytics import (
     AddressMap,
     LoanRecord,
     PriceTable,
     RecordError,
+    UsageRow,
+    UsageTable,
     aggregate,
     classify,
     format_table_csv,
@@ -278,3 +287,166 @@ class TestWashTradingCost:
             wash_trading_cost(1.0, 1.5, 0.0, 0.0, 0)
         with pytest.raises(ConfigError):
             wash_trading_cost(-1.0, 0.0, 0.0, 0.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Streaming classify against the whole-text reading
+# ---------------------------------------------------------------------------
+
+def reference_table(records, addr_map, prices) -> UsageTable:
+    """`aggregate` as it was on whole lists of records."""
+    groups, errors, kept = {}, [], []
+    for r in records:
+        try:
+            key = classify(r, addr_map)
+        except RecordError as exc:
+            errors.append(f"{r.tx}: {exc}")
+            continue
+        groups.setdefault(key, []).append(r)
+        kept.append(r)
+
+    def row(platforms, batch):
+        usd, unpriced = 0.0, 0
+        for r in batch:
+            price = prices.get(r.asset)
+            if price is None:
+                unpriced += 1
+            else:
+                usd += r.amount * price
+        gas = [r.gas for r in batch]
+        mean = sum(gas) / len(gas) if gas else 0.0
+        std = math.sqrt(sum((g - mean) ** 2 for g in gas) / len(gas)) if gas else 0.0
+        return UsageRow(platforms, len(batch), usd, mean, std, unpriced)
+
+    named = [row(key, batch) for key, batch in groups.items() if len(batch) >= 5]
+    named.sort(key=lambda r: (-r.count, r.platforms))
+    folded = [r for batch in groups.values() if len(batch) < 5 for r in batch]
+    if folded:
+        named.append(row(("Others",), folded))
+    return UsageTable(tuple(named), row(("Total",), kept), tuple(errors))
+
+
+def reference_results(text: str) -> dict:
+    """The classify results and input hash when the whole text is read first."""
+    records, parse_errors = parse_records(text.splitlines())
+    table = reference_table(records, AddressMap.bundled(), PriceTable.default())
+    return {"results": {"rows": [r.as_dict() for r in table.rows], "total": table.total.as_dict(),
+                        "classification_errors": list(table.errors), "parse_errors": parse_errors},
+            "scenario_hash": hashlib.sha256(text.encode()).hexdigest()}
+
+
+ADDRESSES = [*sorted(AddressMap.bundled().entries)[:12], "0x" + "ab" * 20, "0x12345"]
+
+
+def loan_lines(count: int, seed: int = 0) -> list[str]:
+    """JSONL loan records over many small and a few large platform sets, some broken."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(count):
+        doc = {"tx": f"0x{i:x}", "touched": rng.sample(ADDRESSES, rng.randint(0, 3)),
+               "asset": rng.choice(["ETH", "DAI", "WBTC", "XYZ"]),
+               "amount": rng.lognormvariate(3, 2), "gas": rng.uniform(2e4, 9e5)}
+        if rng.random() < 0.02:
+            doc["gas"] = "lots"
+        lines.append(json.dumps(doc))
+    return lines
+
+
+class TestStreamingClassify:
+    """The chunked read gives the whole-text reading's rows, errors and hash, bitwise."""
+
+    LINES = loan_lines(60)
+    CASES = {
+        "crlf": "\r\n".join(LINES) + "\r\n",
+        # a raw line separator inside a record line splits it in two
+        "u2028-in-record": LINES[0][:-1] + ', "note": "a\u2028b"}\n' + "\n".join(LINES[1:]) + "\n",
+        "blank-lines": "\n\n" + "\n\n".join(LINES[:30]) + "\n \n" + "\n".join(LINES[30:]) + "\n\n",
+        "no-trailing-newline": "\n".join(LINES),
+        "mixed-ends": "\r".join(LINES[:20]) + "\r\n" + "\x85".join(LINES[20:]) + "\x0c",
+        "empty": "",
+    }
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(analytics, "CHUNK_LINES", 7)  # many chunk boundaries
+
+    @staticmethod
+    def classify_report(argv, **kwargs) -> dict:
+        res = CliRunner().invoke(main, ["--format", "structured", "classify", *argv], **kwargs)
+        assert res.exit_code == 0, res.output
+        return json.loads(res.output)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_file_matches_whole_text_reading(self, tmp_path, name):
+        path = tmp_path / "loans.jsonl"
+        path.write_bytes(self.CASES[name].encode())
+        report = self.classify_report(["--input", str(path)])
+        expected = reference_results(path.read_text())
+        assert {k: report[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_stdin_matches_whole_text_reading(self, name):
+        text = self.CASES[name]
+        report = self.classify_report(["--input", "-"], input=text.encode())
+        # the test runner's stdin reads with universal newlines, as a file does
+        expected = reference_results(text.replace("\r\n", "\n").replace("\r", "\n"))
+        assert {k: report[k] for k in expected} == expected
+
+    def test_spawned_stdin_keeps_carriage_returns(self):
+        # a real stdin on POSIX translates no line ends; sys.stdin.read() kept them
+        text = self.CASES["crlf"] + self.CASES["mixed-ends"]
+        res = subprocess.run([sys.executable, "-m", "flashsim.cli", "--format", "structured",
+                              "classify", "--input", "-"], input=text.encode(), capture_output=True,
+                             env={"PYTHONPATH": str(Path(analytics.__file__).parents[1])}, timeout=600)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        expected = reference_results(text)
+        assert {k: report[k] for k in expected} == expected
+
+    def test_parse_error_numbers_cross_chunks(self):
+        text = "\n".join(["not json", *self.LINES[:9], "", "[1]", *self.LINES[9:], "{"]) + "\n"
+        report = self.classify_report(["--input", "-"], input=text)
+        errors = report["results"]["parse_errors"]
+        assert [e.split(":")[0] for e in errors[:2]] == ["line 1", "line 12"]
+        assert errors[-1].startswith(f"line {len(text.splitlines())}:")
+        assert errors == reference_results(text)["results"]["parse_errors"]
+
+    def test_every_chunk_is_parsed_and_aggregated(self, monkeypatch):
+        calls = []
+
+        def counting(name, original):
+            def wrapper(items, *args, **kwargs):
+                calls.append((name, len(items)))
+                return original(items, *args, **kwargs)
+            return wrapper
+
+        for name in ("parse_records", "aggregate"):
+            monkeypatch.setattr(analytics, name, counting(name, getattr(analytics, name)))
+        report = self.classify_report(["--input", "-"], input="\n".join(self.LINES) + "\n")
+        parsed = [n for name, n in calls if name == "parse_records"]
+        assert parsed == [7] * 8 + [4]
+        assert sum(n for name, n in calls if name == "aggregate") == 60 - len(
+            report["results"]["parse_errors"])
+
+
+def test_many_small_sets_fold_bitwise_like_whole_lists():
+    records, _ = parse_records(loan_lines(3000, seed=9))
+    got = aggregate(records, AddressMap.bundled(), PriceTable.default())
+    assert got == reference_table(records, AddressMap.bundled(), PriceTable.default())
+    assert got.rows[-1].platforms == ("Others",) and got.total.unpriced > 0
+
+
+def test_classify_memory_is_bounded_by_the_chunk(tmp_path):
+    path = tmp_path / "loans.jsonl"
+    path.write_text("\n".join(loan_lines(20_000, seed=3)) + "\n")  # 2.9 MB
+    runner = CliRunner()
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["--format", "csv", "classify", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    # reading the whole text and holding every record once peaked near 16 MB,
+    # and keeping one chunk's records while the next is parsed near 1.7 MB
+    assert peak < 1.5 * 2 ** 20

@@ -1,6 +1,7 @@
 """Atomic vs non-atomic arbitrage accounting and the sweep statistics."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,19 @@ class TestLockstepSweep:
         # memory is bounded by the lane block, not by the trial count
         assert lanes == [atomicity._LANES, atomicity._LANES, 5]
 
+    def test_one_lane_block_is_alive_at_a_time(self):
+        steps, trials = 1000, 3 * atomicity._LANES + 5
+        block_bytes = steps * atomicity._LANES * (1 + 8 + 8)  # XY mask and two amounts
+        tracemalloc.start()
+        try:
+            sweep(market(), 2.0, SyntheticStream(seed=3, size=steps), [0, steps], trials,
+                  bootstrap_samples=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the loop variables once kept block k while block k + 1 was built
+        assert peak < block_bytes + 2 ** 19
+
 
 class TestTraces:
     def test_header_and_noise_rows(self):
@@ -378,3 +392,31 @@ def test_bootstrap_interval_brackets_mean():
 def test_bootstrap_needs_a_resample():
     with pytest.raises(ConfigError):
         bootstrap_mean_ci(np.ones(3), np.random.default_rng(1), 0)
+
+
+def one_shot_bootstrap(samples, rng, n_resamples, alpha=0.05):
+    """The interval from one `(n_resamples, n)` index draw."""
+    idx = rng.integers(0, len(samples), size=(n_resamples, len(samples)))
+    low, high = np.percentile(samples[idx].mean(axis=1), [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return float(low), float(high)
+
+
+@pytest.mark.parametrize("block", [1, 33, 100, atomicity.BOOTSTRAP_BLOCK])
+@pytest.mark.parametrize("n", [1, 7, 101, 500])
+def test_blocked_bootstrap_is_the_one_shot_draw_bitwise(monkeypatch, n, block):
+    monkeypatch.setattr(atomicity, "BOOTSTRAP_BLOCK", block)
+    samples = np.random.default_rng(n).lognormal(size=n) - 1.0
+    for n_resamples in (1, 999):  # 999 is no multiple of the rows in a block
+        got = bootstrap_mean_ci(samples, np.random.default_rng((5, n)), n_resamples)
+        assert got == one_shot_bootstrap(samples, np.random.default_rng((5, n)), n_resamples)
+
+
+def test_bootstrap_memory_is_bounded_by_the_block():
+    samples = np.random.default_rng(2).normal(size=5000)
+    tracemalloc.start()
+    try:
+        bootstrap_mean_ci(samples, np.random.default_rng(1), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20  # one (1000, 5000) draw and its gather take 80 MB

@@ -83,6 +83,13 @@ MALFORMED = {
                                                "extra": {"debt_cap": "p1"}}), EVAL_CHAIN),
     "chain-missing-amount": (chain_call({"op": "flash_loan", "pool": "flash"}), EVAL_CHAIN),
     "chain-n-params-infinite": (chain_text(n_params=float("inf")), EVAL_CHAIN),
+    # these four were read as a name and as one parameter, with exit 0
+    "chain-name-list": (chain_text(name=["x"]), EVAL_CHAIN),
+    "chain-name-list-optimize": (chain_text(name=["x"]), ["optimize", "--scenario", "pump_arbitrage",
+                                                          "--vector", "FILE", "--starts", "1", "--grid-res", "2"]),
+    "chain-n-params-fraction": (chain_text(n_params=1.5), EVAL_CHAIN),
+    "chain-n-params-bool": (chain_text(n_params=True), EVAL_CHAIN),
+    "chain-n-params-string": (chain_text(n_params="1"), EVAL_CHAIN),
     "chain-bound-count": (chain_text(bounds=[[0.0, 1.0], [0.0, 1.0]]), EVAL_CHAIN),
     "chain-infinite-bound": (chain_text(bounds=[[0.0, 100.0]]).replace("100.0", "1e309"), EVAL_CHAIN),
     "chain-bound-low-above-high": (chain_text(bounds=[[5.0, 1.0]]), EVAL_CHAIN),
