@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .models import ConfigError, as_number, expect_type
+from .scenario import read_json
 
 UNKNOWN = "Unknown"
 OTHERS = "Others"
@@ -94,7 +95,7 @@ class PriceTable:
 
     @staticmethod
     def from_file(path: str | Path) -> "PriceTable":
-        doc = expect_type(json.loads(Path(path).read_text()), dict, f"price file {path}")
+        doc = expect_type(read_json(path, "price file")[0], dict, f"price file {path}")
         table = {asset: as_number(price, f"price of {asset!r}") for asset, price in doc.items()}
         if not all(0 < p <= MAX_QUANTITY for p in table.values()):
             raise ConfigError(f"prices must be positive and at most {MAX_QUANTITY:g}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import copy
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -26,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .models import ConfigError, ConstantProductAmm, constant_product_swap, expect_type
-from .scenario import build_pool
+from .scenario import build_pool, read_json
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,17 @@ class TwoExchangeMarket:
                 raise ConfigError("both exchanges need positive reserves")
 
 
-def load_market(path: str | Path) -> TwoExchangeMarket:
+def load_market(path: str | Path) -> tuple[TwoExchangeMarket, str]:
     """Read a market file: the pair `x`, `y` and one constant-product stanza
-    (`uX`, `uY`, optional `fee`) under each of `exchange_a` and `exchange_b`."""
-    doc = expect_type(json.loads(Path(path).read_text()), dict, f"market {path}")
+    (`uX`, `uY`, optional `fee`) under each of `exchange_a` and `exchange_b`.
+    Returns the market and the sha256 of the file."""
+    doc, digest = read_json(path, "market")
+    expect_type(doc, dict, f"market {path}")
     pair = {"type": "constant_product", "x": doc.get("x", "X"), "y": doc.get("y", "Y")}
     return TwoExchangeMarket(*(
         build_pool(name, {**expect_type(doc.get(name), dict, f"market {path}: {name}"), **pair})
         for name in ("exchange_a", "exchange_b")
-    ))
+    )), digest
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from importlib import resources
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import click
@@ -27,7 +25,7 @@ import scipy
 from . import __version__, analytics, atomicity
 from .models import ConfigError
 from .optimize import FEASIBILITY_TOL, OptimizationResult, SolverConfig, grid_oracle, problem, solve
-from .scenario import BUILTIN_SCENARIOS, builtin_scenario, load_scenario
+from .scenario import BUILTIN_SCENARIOS, builtin_scenario, load_scenario, read_json, undecodable_line
 from .vectors import BUILTIN_VECTORS, AttackVector, EvaluationError, describe, evaluate, parse_vector, with_bounds
 
 AGREEMENT_THRESHOLD = 0.02
@@ -47,17 +45,6 @@ def _hash_config(command: str, config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _hashed(lines: Iterable[str], digest) -> Iterator[str]:
-    """`lines` as they are, each fed to `digest` as UTF-8 on the way."""
-    for line in lines:
-        digest.update(line.encode())
-        yield line
-
-
 @contextmanager
 def _unusable_input():
     """Exit 2 with one `error:` line on stderr if the block raises an input error."""
@@ -70,16 +57,7 @@ def _unusable_input():
 
 def _resolve_scenario(value: str):
     """(initial state, sha256 of the scenario file) for a bundled name or a path."""
-    if value in BUILTIN_SCENARIOS:
-        raw = resources.files("flashsim.data").joinpath(f"{value}.json").read_bytes()
-        state, _ = builtin_scenario(value)
-    else:
-        path = Path(value)
-        if not path.exists():
-            raise ConfigError(f"scenario {value!r} is neither a bundled name nor a file")
-        raw = path.read_bytes()
-        state, _ = load_scenario(path)
-    return state, _hash_bytes(raw)
+    return builtin_scenario(value) if value in BUILTIN_SCENARIOS else load_scenario(value)
 
 
 def _resolve_vector(value: str, state, zy_cap: bool) -> AttackVector:
@@ -89,10 +67,7 @@ def _resolve_vector(value: str, state, zy_cap: bool) -> AttackVector:
         return BUILTIN_VECTORS[value](state, zy_cap=zy_cap)
     if value in BUILTIN_VECTORS:
         return BUILTIN_VECTORS[value](state)
-    path = Path(value)
-    if not path.exists():
-        raise ConfigError(f"vector {value!r} is neither a built-in name nor a file")
-    return parse_vector(json.loads(path.read_text()), state)
+    return parse_vector(read_json(value, "vector")[0], state)
 
 
 def _parse_bound(text: str) -> tuple[int, tuple[float, float]]:
@@ -308,7 +283,7 @@ def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
 def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file,
                   stream_size, amount_scale, sigma, bootstrap_samples):
     """Sweep the arbitrage profit difference over intermediary counts."""
-    market = atomicity.load_market(market_file)
+    market, market_hash = atomicity.load_market(market_file)
     counts = [int(v) for v in i_values.split(",") if v.strip() != ""]
     if replay_file is not None:
         stream = atomicity.load_trace(replay_file)
@@ -317,7 +292,6 @@ def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file,
             seed=obj["seed"], size=stream_size or max(counts, default=0),
             amount_scale=amount_scale, sigma=sigma,
         )
-    market_hash = _hash_bytes(Path(market_file).read_bytes())
     rows = atomicity.sweep(market, budget, stream, counts, trials,
                            bootstrap_samples=bootstrap_samples)
 
@@ -348,10 +322,31 @@ def classify_cmd(obj, input_file, map_file, prices_file):
     """Aggregate flash-loan records by the platform sets they touch."""
     addr_map = analytics.AddressMap.from_file(map_file) if map_file else analytics.AddressMap.bundled()
     prices = analytics.PriceTable.from_file(prices_file) if prices_file else analytics.PriceTable.default()
-    digest = hashlib.sha256()
-    # opened as Path.read_text opens a file; stdin is read as it is and left open
-    with nullcontext(sys.stdin) if input_file == "-" else open(input_file) as stream:
-        table, parse_errors = analytics.tabulate(_hashed(stream, digest), addr_map, prices)
+    digest, lines_read = hashlib.sha256(), 0
+
+    def hashed(lines: Iterable[str]) -> Iterator[str]:
+        """`lines` as they are, each fed to `digest` as UTF-8 and counted on the way."""
+        nonlocal lines_read
+        for line in lines:
+            digest.update(line.encode())
+            lines_read += 1
+            yield line
+
+    try:
+        # opened as Path.read_text opens a file; stdin is read as it is and left open
+        with nullcontext(sys.stdin) if input_file == "-" else open(input_file) as stream:
+            table, parse_errors = analytics.tabulate(hashed(stream), addr_map, prices)
+    except UnicodeError as exc:
+        # A stdin that escapes bad bytes as lone surrogates fails at the digest instead.
+        bad = exc.object[exc.start:exc.end]
+        if isinstance(bad, str):
+            bad = bad.encode(exc.encoding, "surrogateescape")
+        if input_file == "-":
+            where = f"after {lines_read} line(s) read"
+        else:
+            with open(input_file, "rb") as raw:
+                where = f"line {undecodable_line(raw, exc.encoding)}"
+        raise ConfigError(f"input {input_file}: {where}: can't decode {bad!r} as {exc.encoding}") from None
     config_echo = {"input": input_file, "map": map_file, "prices": prices_file}
     results = {
         "rows": [r.as_dict() for r in table.rows],

@@ -10,10 +10,13 @@ pm, lr, minP, maxP, kX, maxY).  Two scenarios ship with the package:
 
 from __future__ import annotations
 
+import codecs
+import hashlib
+import io
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .models import (
     AutomatedPriceReserve,
@@ -26,6 +29,7 @@ from .models import (
     MarginPlatform,
     Pool,
     WorldState,
+    _require_finite,
     as_number,
     expect_type,
 )
@@ -36,10 +40,17 @@ BUILTIN_SCENARIOS = ("pump_arbitrage", "oracle_manipulation")
 _SYMBOL_FIELDS = frozenset({"asset", "x", "y", "collateral", "debt", "short", "venue"})
 
 
+def _finite(value: Any, what: str) -> float:
+    """`value` as a finite float, or a ConfigError naming `what`."""
+    number = as_number(value, what)
+    _require_finite(what, number)
+    return number
+
+
 def _field(pool_id: str, name: str, value: Any) -> Any:
-    """A stanza field as its type: a string for asset and venue names, else a float."""
+    """A stanza field as its type: a string for asset and venue names, else a finite float."""
     what = f"pool {pool_id!r}: {name}"
-    return expect_type(value, str, what) if name in _SYMBOL_FIELDS else as_number(value, what)
+    return expect_type(value, str, what) if name in _SYMBOL_FIELDS else _finite(value, what)
 
 
 def _require(stanza: dict, pool_id: str, *fields: str) -> list[Any]:
@@ -110,7 +121,7 @@ def scenario_from_dict(doc: dict) -> WorldState:
     balances: dict[tuple[str, str], float] = {}
     for entity, per_asset in expect_type(doc.get("balances", {}), dict, "balances").items():
         for asset, amount in expect_type(per_asset, dict, f"balances of {entity!r}").items():
-            amount = as_number(amount, f"balance of {entity}/{asset}")
+            amount = _finite(amount, f"balance of {entity}/{asset}")
             if amount < 0:
                 raise ConfigError(f"negative initial balance for {entity}/{asset}")
             balances[(entity, asset)] = amount
@@ -133,20 +144,45 @@ def scenario_from_dict(doc: dict) -> WorldState:
     return WorldState(balances, pools)
 
 
-def load_scenario(path: str | Path) -> tuple[WorldState, dict]:
-    """Load a scenario file; returns the initial state and the raw document."""
-    raw = Path(path).read_text()
+def read_json(source: str | Path, what: str) -> tuple[Any, str]:
+    """The JSON document in a file (or package resource) and the sha256 of its bytes, read once.
+
+    The bytes are decoded as `Path.read_text` decodes them; bad JSON raises
+    a ConfigError naming `what`, the file and the line.
+    """
+    raw = (Path(source) if isinstance(source, str) else source).read_bytes()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return scenario_from_dict(doc), doc
+        raise ConfigError(f"{what} {source}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {source}: line {undecodable_line(io.BytesIO(raw), exc.encoding)}: "
+                          f"can't decode {exc.object[exc.start:exc.end]!r} as {exc.encoding}") from None
+    return doc, hashlib.sha256(raw).hexdigest()
 
 
-def builtin_scenario(name: str) -> tuple[WorldState, dict]:
-    """Load one of the bundled scenarios by name."""
+def undecodable_line(lines: Iterable[bytes], encoding: str) -> int:
+    """Number of the first of `lines` (a binary file's, split at b"\\n") that does not decode.
+
+    A decoder's error position counts from its read chunk, not from the file.
+    """
+    decoder, number = codecs.getincrementaldecoder(encoding)(), 0
+    for number, line in enumerate(lines, 1):
+        try:
+            decoder.decode(line)
+        except UnicodeDecodeError:
+            break
+    return number  # or the last line, whose end cuts a character short
+
+
+def load_scenario(path: str | Path) -> tuple[WorldState, str]:
+    """Load a scenario file; returns the initial state and the sha256 of the file."""
+    doc, digest = read_json(path, "scenario")
+    return scenario_from_dict(doc), digest
+
+
+def builtin_scenario(name: str) -> tuple[WorldState, str]:
+    """Load one of the bundled scenarios by name, as `load_scenario` loads a file."""
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown bundled scenario {name!r}; have {BUILTIN_SCENARIOS}")
-    raw = resources.files("flashsim.data").joinpath(f"{name}.json").read_text()
-    doc = json.loads(raw)
-    return scenario_from_dict(doc), doc
+    return load_scenario(resources.files("flashsim.data").joinpath(f"{name}.json"))

@@ -325,7 +325,7 @@ def with_bounds(vector: AttackVector, overrides: Mapping[int, tuple[float, float
     bounds = list(vector.bounds)
     for idx, pair in overrides.items():
         if not 0 <= idx < vector.n_params:
-            raise ConfigError(f"no parameter with index {idx}")
+            raise ConfigError(f"vector {vector.name!r} has no parameter p{idx + 1}, only p1..p{vector.n_params}")
         bounds[idx] = _bound(idx, pair)
     return replace(vector, bounds=tuple(bounds))
 
@@ -341,6 +341,16 @@ def _unique_pool(scenario: WorldState, kind: type) -> tuple[str, object]:
             f"scenario must contain exactly one {kind.__name__}, found {len(matches)}"
         )
     return matches[0]
+
+
+def _closed_form_fits(vector: str, unmodelled: Mapping[str, bool]) -> None:
+    """ConfigError naming what of the scenario a built-in vector's closed form does not model."""
+    found = [what for what, present in unmodelled.items() if present]
+    if found:
+        raise ConfigError(
+            f"the built-in {vector} vector's closed form does not model {' or '.join(found)}; "
+            f"write its chain with `describe --vector {vector}` on a bundled scenario "
+            f"and pass that file as --vector FILE")
 
 
 def _coord(p, i: int):
@@ -367,6 +377,11 @@ def build_paa_vector(scenario: WorldState, actor: str = "adversary") -> AttackVe
     amm_id, amm = _unique_pool(scenario, ConstantProductAmm)
     margin_id, margin = _unique_pool(scenario, MarginPlatform)
     market_id, market = _unique_pool(scenario, FixedPriceMarket)
+    _closed_form_fits("paa", {
+        "the AMM fee": amm.fee_rate != 0,
+        "flash-loan interest": flash.interest.rate != 0 or flash.interest.flat != 0,
+        f"a margin venue other than {amm_id!r}": margin.venue != amm_id,
+    })
 
     x = flash.asset
     y = lend.debt_asset
@@ -454,6 +469,10 @@ def build_oracle_vector(
     reserve_id, reserve = _unique_pool(scenario, AutomatedPriceReserve)
     market_id, market = _unique_pool(scenario, FixedPriceMarket)
     lend_id, lend = _unique_pool(scenario, LendingPool)
+    _closed_form_fits("oracle", {
+        "the AMM fee": amm.fee_rate != 0,
+        "flash-loan interest": flash.interest.rate != 0 or flash.interest.flat != 0,
+    })
 
     x = flash.asset
     y = amm.asset_y

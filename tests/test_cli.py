@@ -1,7 +1,11 @@
 """End-to-end command behavior: formats, exit codes, golden structured reports."""
 
+import builtins
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +16,8 @@ from click.testing import CliRunner
 from flashsim import cli
 from flashsim.cli import main
 from flashsim.models import ConfigError
+from flashsim.scenario import builtin_scenario
+from flashsim.vectors import build_oracle_vector, describe
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -40,8 +46,8 @@ def assert_unusable_input(res):
     assert isinstance(res.exception, SystemExit)
 
 
-def scenario_text(mutate) -> str:
-    doc = json.loads((DATA / "pump_arbitrage.json").read_text())
+def scenario_text(mutate, name="pump_arbitrage") -> str:
+    doc = json.loads((DATA / f"{name}.json").read_text())
     mutate(doc)
     return json.dumps(doc)
 
@@ -59,8 +65,19 @@ def chain_call(call: dict) -> str:
     return chain_text(steps=[{"label": "only", "calls": [call]}])
 
 
+def oracle_chain_text() -> str:
+    """The built-in oracle chain as a description file, with its borrow quoted off state 9."""
+    vector = build_oracle_vector(builtin_scenario("oracle_manipulation")[0])
+    return json.dumps(describe(vector)).replace("collateral_rate:amm@2", "collateral_rate:amm@9")
+
+
 EVAL_SCENARIO = ["evaluate", "--scenario", "FILE", "--vector", "paa", "5500", "1300"]
+EVAL_ORACLE_SCENARIO = ["evaluate", "--scenario", "FILE", "--vector", "oracle", "540", "360", "3517.86"]
 EVAL_CHAIN = ["evaluate", "--scenario", "pump_arbitrage", "--vector", "FILE", "1"]
+MARKET = ["atomicity", "--market", "FILE", "--budget", "2", "--i-values", "0,1", "--trials", "2"]
+REPLAY = ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "2",
+          "--i-values", "0,1", "--trials", "2", "--replay", "FILE"]
+MARKET_TEXT = (GOLDEN / "market.json").read_text()
 
 # Input files that used to end in a traceback (or, for a bound with low above
 # high, in exit 0): FILE in the arguments is the file's path.
@@ -71,9 +88,22 @@ MALFORMED = {
                                      EVAL_SCENARIO),
     "scenario-field-not-number": (scenario_text(lambda d: d["pools"]["flash"].update(vX="abc")),
                                   EVAL_SCENARIO),
-    "market-list": ("[]", ["atomicity", "--market", "FILE", "--budget", "2"]),
-    "trace-amount-nan": ("1,a,XY,nan\n", ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "2",
-                                          "--i-values", "0,1", "--trials", "2", "--replay", "FILE"]),
+    # these exited 2 already, but no test reached their checks
+    "scenario-without-lending-er": (scenario_text(lambda d: d["pools"]["lending"].pop("er")), EVAL_SCENARIO),
+    "scenario-without-market-maxy": (scenario_text(lambda d: d["pools"]["market"].pop("maxY"),
+                                                   "oracle_manipulation"), EVAL_ORACLE_SCENARIO),
+    # non-finite numbers: a market of rows of nan with exit 0, a scenario failing later unnamed
+    "scenario-field-nan": (scenario_text(lambda d: d["pools"]["flash"].update(vX=float("nan"))),
+                           EVAL_SCENARIO),
+    "scenario-field-infinite": (scenario_text(lambda d: d["pools"]["amm"].update(uY=float("inf"))),
+                                EVAL_SCENARIO),
+    "scenario-balance-nan": (scenario_text(lambda d: d["balances"]["adversary"].update(ETH=float("nan"))),
+                             EVAL_SCENARIO),
+    "market-list": ("[]", MARKET),
+    "market-reserve-nan": (MARKET_TEXT.replace('"uY": 35000.0', '"uY": NaN'), MARKET),
+    "market-fee-nan": (MARKET_TEXT.replace('"uY": 35000.0', '"uY": 35000.0, "fee": NaN'), MARKET),
+    "trace-amount-nan": ("1,a,XY,nan\n", REPLAY),
+    "trace-three-fields": ("1,a,XY\n", REPLAY),  # exited 2 already, but untested
     "prices-list": ("[]", ["classify", "--prices", "FILE"]),
     "map-bad-address": ("0x12,Foo\n", ["classify", "--map", "FILE"]),
     "chain-steps-string": (chain_text(steps="x"), EVAL_CHAIN),
@@ -95,14 +125,108 @@ MALFORMED = {
     "chain-bound-low-above-high": (chain_text(bounds=[[5.0, 1.0]]), EVAL_CHAIN),
     "chain-repay-without-position": (chain_call({"op": "collateralized_repay", "pool": "lending"}),
                                      EVAL_CHAIN),
+    # these exited 2 already, but no test reached their checks
+    "chain-flash-loan-from-amm": (chain_call({"op": "flash_loan", "pool": "amm", "amount": "p1"}), EVAL_CHAIN),
+    "chain-rate-from-future-state": (oracle_chain_text(), ["evaluate", "--scenario", "oracle_manipulation",
+                                                           "--vector", "FILE", "540", "360", "3517.86"]),
 }
 
 
-@pytest.mark.parametrize("text, argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_file_exits_2_with_one_error_line(runner, tmp_path, text, argv):
+# The error line of a malformed file where it must name what is wrong.
+MESSAGES = {
+    "scenario-field-nan": "error: pool 'flash': vX must be finite, got nan\n",
+    "scenario-field-infinite": "error: pool 'amm': uY must be finite, got inf\n",
+    "scenario-balance-nan": "error: balance of adversary/ETH must be finite, got nan\n",
+    "market-reserve-nan": "error: pool 'exchange_a': uY must be finite, got nan\n",
+    "market-fee-nan": "error: pool 'exchange_a': fee must be finite, got nan\n",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_file_exits_2_with_one_error_line(runner, tmp_path, case):
+    text, argv = MALFORMED[case]
     path = tmp_path / "input"
     path.write_text(text)
-    assert_unusable_input(runner.invoke(main, [str(path) if a == "FILE" else a for a in argv]))
+    res = runner.invoke(main, [str(path) if a == "FILE" else a for a in argv])
+    assert_unusable_input(res)
+    assert res.stderr == MESSAGES.get(case, res.stderr)
+
+
+@pytest.mark.parametrize("content, error", [
+    (b'{\n  "a": [,]\n}', "invalid JSON at line 2: Expecting value"),
+    (b'{\n  "a": "\xff"\n}', "line 2: can't decode b'\\xff' as utf-8"),
+], ids=["bad-json", "undecodable"])
+@pytest.mark.parametrize("what, argv", [
+    ("scenario", EVAL_SCENARIO), ("vector", EVAL_CHAIN), ("market", MARKET),
+    ("price file", ["classify", "--prices", "FILE"]),
+])
+def test_unreadable_json_names_the_file_and_the_line(runner, tmp_path, what, argv, content, error):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    res = runner.invoke(main, [str(path) if a == "FILE" else a for a in argv])
+    assert_unusable_input(res)
+    assert res.stderr == f"error: {what} {path}: {error}\n"
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["optimize", "--scenario", "FILE", "--vector", "paa", "--starts", "1", "--grid-res", "2"],
+     DATA / "pump_arbitrage.json"),
+    (EVAL_SCENARIO, DATA / "pump_arbitrage.json"),
+    (["describe", "--scenario", "FILE", "--vector", "paa"], DATA / "pump_arbitrage.json"),
+    (MARKET, GOLDEN / "market.json"),
+], ids=["optimize", "evaluate", "describe", "atomicity"])
+def test_each_input_file_is_read_once(runner, tmp_path, monkeypatch, argv, source):
+    path = tmp_path / "input.json"
+    path.write_bytes(source.read_bytes())
+    opened, real_open = [], io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens with
+    monkeypatch.setattr(builtins, "open", counting_open)
+    res = runner.invoke(main, [str(path) if a == "FILE" else a for a in argv])
+    assert res.exit_code == 0, res.output
+    assert len(opened) == 1
+
+
+def test_reports_hash_the_bytes_of_each_input_file(runner, tmp_path):
+    scenario, market = tmp_path / "scenario.json", tmp_path / "market.json"
+    scenario.write_bytes((DATA / "pump_arbitrage.json").read_bytes() + b"\n\n")
+    market.write_bytes((GOLDEN / "market.json").read_bytes())
+    for path, argv in ((scenario, EVAL_SCENARIO), (market, MARKET)):
+        res = runner.invoke(main, ["--format", "structured", *(str(path) if a == "FILE" else a for a in argv)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["scenario_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# A scenario the built-in closed forms leave something out of; a description file still replays it.
+CLOSED_FORM_MISFITS = {
+    "paa-amm-fee": ("pump_arbitrage", "paa", lambda d: d["pools"]["amm"].update(fee=0.003)),
+    "paa-flash-interest": ("pump_arbitrage", "paa", lambda d: d["pools"]["flash"].update(interest={"rate": 0.0009})),
+    "paa-flash-flat-fee": ("pump_arbitrage", "paa", lambda d: d["pools"]["flash"].update(interest={"flat": 1.0})),
+    "paa-margin-off-the-amm": ("pump_arbitrage", "paa", lambda d: d["pools"]["margin"].update(venue=None, emp=39.0)),
+    "oracle-amm-fee": ("oracle_manipulation", "oracle", lambda d: d["pools"]["amm"].update(fee=0.003)),
+    "oracle-flash-interest": ("oracle_manipulation", "oracle",
+                              lambda d: d["pools"]["flash"].update(interest={"rate": 0.0009})),
+}
+POINTS = {"paa": ["2469.35", "1456.23"], "oracle": ["540", "360", "3517.86"]}
+
+
+@pytest.mark.parametrize("name, vector, mutate", CLOSED_FORM_MISFITS.values(), ids=CLOSED_FORM_MISFITS.keys())
+def test_built_in_vector_refuses_what_its_closed_form_leaves_out(runner, tmp_path, name, vector, mutate):
+    scenario, described = tmp_path / "scenario.json", tmp_path / "chain.json"
+    scenario.write_text(scenario_text(mutate, name))
+    described.write_text(runner.invoke(main, ["describe", "--scenario", name, "--vector", vector]).output)
+    for command, extra in (("optimize", ["--starts", "1", "--grid-res", "2"]), ("evaluate", POINTS[vector]),
+                           ("describe", [])):
+        res = runner.invoke(main, [command, "--scenario", str(scenario), "--vector", vector, *extra])
+        assert_unusable_input(res)
+        assert f"describe --vector {vector}" in res.stderr
+    res = runner.invoke(main, ["evaluate", "--scenario", str(scenario), "--vector", str(described), *POINTS[vector]])
+    assert res.exit_code == 0, res.output
 
 
 OPTIMIZE_PAA = ["optimize", "--scenario", "pump_arbitrage", "--vector", "paa"]
@@ -124,12 +248,21 @@ UNUSABLE_OPTIONS = {
     "sigma-nan": [*ATOMICITY, "--sigma", "nan"],
     "sigma-negative": [*ATOMICITY, "--sigma", "-1"],
     "stream-size-negative": [*ATOMICITY, "--stream-size", "-1"],
+    "bound-without-range": [*OPTIMIZE_PAA, "--bound", "p2"],
+    "bound-not-a-parameter": [*OPTIMIZE_PAA, "--bound", "q1:0:1"],
+    "bound-p0": [*OPTIMIZE_PAA, "--bound", "p0:0:1"],
+    "scenario-missing": ["evaluate", "--scenario", "no-such-scenario.json", "--vector", "paa", "1", "1"],
 }
 
 
 @pytest.mark.parametrize("argv", UNUSABLE_OPTIONS.values(), ids=UNUSABLE_OPTIONS.keys())
 def test_unusable_option_exits_2_with_one_error_line(runner, argv):
     assert_unusable_input(runner.invoke(main, argv))
+
+
+def test_bound_error_names_the_parameter_as_written(runner):
+    res = runner.invoke(main, [*OPTIMIZE_PAA, "--bound", "p0:0:1"])
+    assert res.stderr == "error: vector 'paa' has no parameter p0, only p1..p2\n"
 
 
 @pytest.mark.parametrize("resolution", ["1", "-5"])
@@ -363,6 +496,30 @@ class TestClassify:
         assert results["parse_errors"] == []
 
 
+LOAN_LINE = json.dumps({"tx": "0x1", "touched": [], "asset": "ETH", "amount": 1.0, "gas": 5.0}) + "\n"
+UNDECODABLE = LOAN_LINE.encode() * 3000 + b"\xff\n" + LOAN_LINE.encode()
+
+
+def test_undecodable_classify_file_names_the_line(runner, tmp_path):
+    path = tmp_path / "loans.jsonl"
+    path.write_bytes(UNDECODABLE)
+    res = runner.invoke(main, ["classify", "--input", str(path)])
+    assert_unusable_input(res)
+    assert res.stderr == f"error: input {path}: line 3001: can't decode b'\\xff' as utf-8\n"
+
+
+def test_undecodable_classify_stdin_names_the_lines_read(runner, tmp_path):
+    res = runner.invoke(main, ["classify"], input=UNDECODABLE)  # a stdin that fails to decode the byte
+    assert_unusable_input(res)
+    assert re.fullmatch(r"error: input -: after \d+ line\(s\) read: can't decode b'\\xff' as utf-8\n", res.stderr)
+    path = tmp_path / "loans.jsonl"
+    path.write_bytes(UNDECODABLE)
+    with path.open("rb") as stdin:  # a stdin that escapes the byte as a lone surrogate
+        spawned = spawn(["-m", "flashsim.cli", "classify"], stdin, PYTHONIOENCODING="utf-8:surrogateescape")
+    assert spawned.returncode == 2
+    assert spawned.stderr == "error: input -: after 3000 line(s) read: can't decode b'\\xff' as utf-8\n"
+
+
 class TestDescribe:
     def test_matches_golden(self, runner):
         res = runner.invoke(main, ["describe", "--scenario", "pump_arbitrage",
@@ -398,11 +555,11 @@ print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
 """
 
 
-def spawn(args, **env):
+def spawn(args, stdin=None, **env):
     """`python <args>` in a fresh interpreter, with the package uninstalled on PYTHONPATH."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env={**environ, **env}, cwd=ROOT,
+    return subprocess.run([sys.executable, *args], env={**environ, **env}, cwd=ROOT, stdin=stdin,
                           capture_output=True, text=True, timeout=600)
 
 

@@ -1,5 +1,6 @@
 """Scenario file loading and validation."""
 
+import hashlib
 import json
 import math
 from importlib import resources
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from flashsim.cli import main
 from flashsim.models import ConfigError, ConstantProductAmm, FlashLoanPool
 from flashsim.scenario import builtin_scenario, load_scenario, scenario_from_dict
+
+DATA = resources.files("flashsim.data")
 
 
 def minimal_doc():
@@ -34,14 +37,16 @@ def test_round_trip_of_minimal_document():
 
 
 def test_bundled_scenarios_carry_incident_figures():
-    paa, doc = builtin_scenario("pump_arbitrage")
+    paa, digest = builtin_scenario("pump_arbitrage")
     assert paa.pool("flash").available == 10000.0
     assert paa.pool("amm").reserve_x == 2817.77
-    assert doc["pools"]["lending"]["er"] == 36.48
-    oracle, doc = builtin_scenario("oracle_manipulation")
+    assert paa.pool("lending").exchange_rate == 36.48
+    assert digest == hashlib.sha256(DATA.joinpath("pump_arbitrage.json").read_bytes()).hexdigest()
+    oracle, digest = builtin_scenario("oracle_manipulation")
     assert oracle.pool("reserve").liquidity_rate == 0.00252
-    assert doc["pools"]["market"]["maxY"] == 943837.59
+    assert oracle.pool("market").max_y == 943837.59
     assert oracle.pool("lending").exchange_rate is None  # quoted live off the AMM
+    assert digest == hashlib.sha256(DATA.joinpath("oracle_manipulation.json").read_bytes()).hexdigest()
 
 
 def test_unknown_builtin_name():
@@ -76,12 +81,13 @@ def test_parse_error_carries_line(tmp_path):
 def test_file_load_matches_dict(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(minimal_doc()))
-    state, doc = load_scenario(path)
-    assert doc == minimal_doc()
+    state, digest = load_scenario(path)
+    assert state == scenario_from_dict(minimal_doc())
     assert state.pool("flash").available == 100.0
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-PAA_DOC = json.loads(resources.files("flashsim.data").joinpath("pump_arbitrage.json").read_text())
+PAA_DOC = json.loads(DATA.joinpath("pump_arbitrage.json").read_text())
 
 
 def key_paths(node, prefix=()):
