@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .models import ConfigError, as_number, expect_type
-from .scenario import read_json
+from .scenario import read_json, read_text
 
 UNKNOWN = "Unknown"
 OTHERS = "Others"
@@ -64,7 +64,7 @@ class AddressMap:
 
     @staticmethod
     def from_file(path: str | Path) -> "AddressMap":
-        return AddressMap.from_lines(Path(path).read_text().splitlines())
+        return AddressMap.from_lines(read_text(path, "address map")[0].splitlines())
 
     @staticmethod
     def bundled() -> "AddressMap":

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .models import ConfigError, ConstantProductAmm, constant_product_swap, expect_type
-from .scenario import build_pool, read_json
+from .scenario import build_pool, read_json, read_text
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,7 @@ def parse_trace(text: str) -> ReplayStream:
 
 
 def load_trace(path: str | Path) -> ReplayStream:
-    return parse_trace(Path(path).read_text())
+    return parse_trace(read_text(path, "trace")[0])
 
 
 # ---------------------------------------------------------------------------

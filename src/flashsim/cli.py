@@ -55,9 +55,18 @@ def _unusable_input():
         sys.exit(2)
 
 
+def _neither(option: str, value: str, kind: str, names) -> ConfigError:
+    return ConfigError(f"{option} {value!r} is neither a {kind} ({', '.join(names)}) nor a file")
+
+
 def _resolve_scenario(value: str):
     """(initial state, sha256 of the scenario file) for a bundled name or a path."""
-    return builtin_scenario(value) if value in BUILTIN_SCENARIOS else load_scenario(value)
+    if value in BUILTIN_SCENARIOS:
+        return builtin_scenario(value)
+    try:
+        return load_scenario(value)
+    except FileNotFoundError:
+        raise _neither("--scenario", value, "bundled scenario", BUILTIN_SCENARIOS) from None
 
 
 def _resolve_vector(value: str, state, zy_cap: bool) -> AttackVector:
@@ -67,7 +76,11 @@ def _resolve_vector(value: str, state, zy_cap: bool) -> AttackVector:
         return BUILTIN_VECTORS[value](state, zy_cap=zy_cap)
     if value in BUILTIN_VECTORS:
         return BUILTIN_VECTORS[value](state)
-    return parse_vector(read_json(value, "vector")[0], state)
+    try:
+        doc = read_json(value, "vector")[0]
+    except FileNotFoundError:
+        raise _neither("--vector", value, "built-in vector", BUILTIN_VECTORS) from None
+    return parse_vector(doc, state)
 
 
 def _parse_bound(text: str) -> tuple[int, tuple[float, float]]:

@@ -2,14 +2,18 @@
 
 The solver is sequential least-squares programming (SciPy's SLSQP) driven
 by central finite-difference gradients, restarted from a Latin hypercube of
-seeds over the bound box.  Residuals are normalized by the magnitude of
-their constant term so pools five orders of magnitude apart weigh
+seeds over the bound box.  The starts run in lockstep through SciPy's SLSQP
+core: each round steps every running start once, then evaluates the points
+they ask for in one batch, so each start's iterates are those of its own
+``minimize(method="SLSQP")`` call.  Residuals are normalized by the magnitude
+of their constant term so pools five orders of magnitude apart weigh
 comparably.  :class:`Problem`, built once per solve or scan by
 :func:`problem`, is the single place where residuals are scaled; the
 solver, the grid oracle and the CLI's constraint report read it.
 Objectives and constraints take a point or a batch, closed form and replayed
-chain alike: a gradient is one call on its 2n stencil rows, SLSQP's constraint
-Jacobian one call on x and its n forward steps, a scan one call per block.
+chain alike: a round's gradients are one call on the 2n stencil rows of
+every start, its constraint Jacobians one call on their n forward steps (the
+residuals at x come from the round before), a scan one call per block.
 
 ``grid_oracle`` is the independent check: an exhaustive feasible-box scan
 (plus one local refinement pass) that certifies solver results for 1 to 3
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._slsqplib import slsqp as _slsqp  # SciPy's reverse-communication SLSQP core
 
 from .models import ConfigError, WorldState
 from .vectors import AttackVector, ConstraintSpec, EvaluationError, closed_form_objective
@@ -123,28 +127,39 @@ def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
 
 
 def _central_difference(f, params: np.ndarray, step: float) -> np.ndarray:
-    """Central difference of `f` at `params` from one call on its 2n stencil rows."""
-    n = len(params)
+    """Central difference of `f` at each point of a batch ``(k, n)``, from one call on the 2n
+    stencil rows of every point; an EvaluationError's `row` names the point."""
+    k, n = params.shape
     bump = step * np.eye(n)
+    stencil = np.concatenate([params[:, None] + bump, params[:, None] - bump], axis=1)
     try:
-        values = np.asarray(f(np.concatenate([params + bump, params - bump])), dtype=float)
+        values = np.asarray(f(stencil.reshape(-1, n)), dtype=float).reshape(k, 2 * n)
     except EvaluationError as exc:
-        raise EvaluationError(exc.step, f"while differencing coordinate {exc.row % n}: {exc}") from None
-    return (values[:n] - values[n:]) / (2.0 * step)
+        error = EvaluationError(exc.step, f"while differencing coordinate {exc.row % n}: {exc}")
+        error.row = exc.row // (2 * n)
+        raise error from None
+    return (values[:, :n] - values[:, n:]) / (2.0 * step)
 
 
-def _forward_jacobian(f, x, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """SciPy's 2-point Jacobian of `f` for SLSQP, bit for bit, from one call on x and its n forward
-    steps: sqrt(eps), relative where x + sqrt(eps) == x, reversed or cut short at the box."""
+def _forward_jacobian(f, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """SciPy's 2-point Jacobian of `f` for SLSQP, bit for bit, at each point of a batch ``(k, n)``
+    whose values at the clipped points are `f0` ``(k, m)``: one call on the n forward steps of
+    every point, sqrt(eps), relative where x + sqrt(eps) == x, reversed or cut short at the box.
+    Returns ``(k, m, n)``; an EvaluationError's `row` names the point."""
     x = np.clip(x, lo, hi)
     h = np.where(x + _SQRT_EPS == x, _SQRT_EPS * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x)), _SQRT_EPS)
     below, above = x - lo, hi - x
     fitting = np.abs(h) <= np.maximum(below, above)
     h = np.where(fitting, np.where((x + h < lo) | (x + h > hi), -h, h), np.where(above >= below, above, -below))
-    rows = np.tile(x, (len(x) + 1, 1))
-    rows[np.arange(1, len(x) + 1), np.arange(len(x))] = x + h
-    values = f(rows)
-    return ((values[1:] - values[0]) / ((x + h) - x)[:, None]).T
+    k, n = x.shape
+    rows = np.repeat(x[:, None], n, axis=1)
+    rows[:, np.arange(n), np.arange(n)] = x + h
+    try:
+        values = f(rows.reshape(-1, n)).reshape(k, n, f0.shape[1])
+    except EvaluationError as exc:
+        exc.row //= n
+        raise
+    return ((values - f0[:, None]) / ((x + h) - x)[:, :, None]).transpose(0, 2, 1)
 
 
 def finite_diff_gradient(
@@ -160,7 +175,102 @@ def finite_diff_gradient(
             raise ValueError(
                 f"parameter {i} = {p} not interior to [{lo}, {hi}] by step {step}"
             )
-    return _central_difference(closed_form_objective(vector, scenario), params, step)
+    return _central_difference(closed_form_objective(vector, scenario), params[None], step)[0]
+
+
+class _Lane:
+    """One start's SLSQP state and workspace, laid out as SciPy's `_minimize_slsqp` lays them out."""
+
+    def __init__(self, x0: np.ndarray, m: int, config: SolverConfig):
+        n = len(x0)
+        acc = config.tolerance
+        self.state = {"acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+                      "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * acc, "exact": 0, "inconsistent": 0,
+                      "reset": 0, "iter": 0, "itermax": int(config.max_iterations), "line": 0, "m": m,
+                      "meq": 0, "mode": 0, "n": n}
+        size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
+        self.buffer = np.zeros(size)
+        self.indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+        self.mult = np.zeros(m + 2 * n + 2)
+        self.C = np.zeros((max(1, m), n), order="F")
+        self.d = np.zeros(max(1, m))
+        self.x, self.f, self.g = x0, 0.0, np.zeros(n)
+        self.at, self.r = None, None  # the last point whose residuals were taken, and them
+        self.failed = False
+
+
+def _surviving(lanes: list[_Lane], evaluate) -> list:
+    """(lane, value) pairs of `evaluate(lanes)`, re-run without each lane whose point raises
+    EvaluationError (its `row` indexes `lanes`), as a per-start solve would skip that start."""
+    while lanes:
+        try:
+            return list(zip(lanes, evaluate(lanes)))
+        except EvaluationError as exc:
+            lanes[exc.row].failed = True
+            lanes = lanes[:exc.row] + lanes[exc.row + 1:]
+    return []
+
+
+def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray,
+                    config: SolverConfig) -> list[tuple[np.ndarray, int]]:
+    """(end point, iterations) of SciPy's SLSQP from each start whose evaluations all succeed.
+
+    Every start is a lane of SciPy's reverse-communication core, which `minimize` loops over
+    one start at a time; here each round calls the core once per running lane, then evaluates
+    the points the lanes asked for in one batch.  Each lane sees what `_minimize_slsqp` gives
+    it: f and g at the clipped start, f, residuals and g at the core's x, the constraint
+    Jacobian at x clipped to the box, and only the coordinates that the bounds leave free."""
+    lo, hi = np.array(prob.bounds, dtype=float).T
+    xl, xu = lo[free], hi[free]
+    m = len(prob.constraints)
+
+    def full(x):
+        """Each point of the free coordinates, with the fixed ones at their bound."""
+        out = np.tile(lo, (len(x), 1))
+        out[:, free] = x
+        return out
+
+    def objective(x):
+        return np.asarray(prob.objective(full(x)), dtype=float)
+
+    def residuals(x):
+        return prob.residuals(full(x))
+
+    def ask_f(lanes):
+        def evaluate(kept):
+            x = np.array([lane.x for lane in kept])
+            return zip(x, objective(x), residuals(x))
+        for lane, (x, f, r) in _surviving(lanes, evaluate):
+            lane.f, lane.at, lane.r = -float(f), x, r
+            lane.d[:m] = r
+
+    def ask_g(lanes):
+        def residuals_at(kept):  # residuals at a clipped point the lane's last f did not take
+            x = np.array([np.clip(lane.x, xl, xu) for lane in kept])
+            return zip(x, residuals(x))
+        for lane, (x, r) in _surviving([lane for lane in lanes if not np.array_equal(
+                np.clip(lane.x, xl, xu), lane.at)], residuals_at):
+            lane.at, lane.r = x, r
+        gradients = _surviving([lane for lane in lanes if not lane.failed], lambda kept: -_central_difference(
+            objective, np.array([lane.x for lane in kept]), config.fd_step))
+        jacobians = _surviving([lane for lane, _ in gradients], lambda kept: _forward_jacobian(
+            residuals, np.array([lane.x for lane in kept]), xl, xu, np.array([lane.r for lane in kept])))
+        for lane, g in gradients:
+            lane.g = g
+        for lane, jacobian in jacobians:
+            lane.C[:m] = jacobian
+
+    lanes = [_Lane(x0.copy(), m, config) for x0 in np.clip(starts[:, free], xl, xu)]
+    ask_f(lanes)
+    ask_g([lane for lane in lanes if not lane.failed])
+    running = [lane for lane in lanes if not lane.failed]
+    while running:
+        for lane in running:
+            _slsqp(lane.state, lane.f, lane.g, lane.C, lane.d, lane.x, lane.mult, xl, xu, lane.buffer, lane.indices)
+        ask_f([lane for lane in running if lane.state["mode"] == 1])
+        ask_g([lane for lane in running if lane.state["mode"] == -1])
+        running = [lane for lane in running if abs(lane.state["mode"]) == 1 and not lane.failed]
+    return [(full(lane.x[None])[0], lane.state["iter"]) for lane in lanes if not lane.failed]
 
 
 def solve(
@@ -173,7 +283,8 @@ def solve(
 
     Multi-start over a seeded Latin hypercube; returns the best feasible
     point, or an explicitly infeasible result (never a silent zero) when no
-    start lands within the scaled feasibility tolerance.
+    start lands within the scaled feasibility tolerance.  A start whose
+    evaluation fails is skipped; parameters fixed by their bounds stay at them.
     """
     if vector.n_params < 1:
         raise ConfigError("vector has no free parameters")
@@ -182,31 +293,17 @@ def solve(
 
     started = time.perf_counter()
     prob = problem(vector, scenario, ignore)
-
-    def neg_obj(p):
-        return -float(prob.objective(np.asarray(p, dtype=float)))
-
-    def grad_neg(p):
-        return -_central_difference(prob.objective, np.asarray(p, dtype=float), config.fd_step)
-
     lo, hi = np.array(vector.bounds, dtype=float).T
-    constraints = [{"type": "ineq", "fun": prob.residuals}] if prob.constraints else []
-    if constraints and (lo < hi).all():  # SciPy removes fixed parameters only when it differences
-        constraints[0]["jac"] = lambda p: _forward_jacobian(prob.residuals, p, lo, hi)
     starts = latin_hypercube(config.starts, vector.bounds, config.seed)
-    ends: list[tuple[float, np.ndarray, float]] = []  # (objective, params, min residual)
-    iterations = 0
-    for x0 in starts:
-        try:
-            res = minimize(neg_obj, x0, jac=grad_neg, bounds=prob.bounds, constraints=constraints,
-                           method="SLSQP", options={"maxiter": config.max_iterations, "ftol": config.tolerance})
-        except (EvaluationError, FloatingPointError):
-            continue
-        iterations += int(res.nit)
-        x = np.clip(res.x, lo, hi)
-        value = float(prob.objective(x))
-        if np.isfinite(value):
-            ends.append((value, x, float(prob.residuals(x).min(initial=np.inf))))
+    free = lo < hi
+    # with every parameter fixed, each start ends where SciPy leaves it: at the lower corner
+    solved = _lockstep_slsqp(prob, starts, free, config) if free.any() else [(lo, 0)] * len(starts)
+    ends = []  # (objective, params, min residual) of each start that ends at a finite objective
+    if solved:
+        x = np.clip(np.array([end for end, _ in solved]), lo, hi)
+        values = np.asarray(prob.objective(x), dtype=float)
+        worst = prob.residuals(x).min(axis=-1, initial=np.inf)
+        ends = [(float(v), p, float(w)) for v, p, w in zip(values, x, worst) if np.isfinite(v)]
 
     elapsed = time.perf_counter() - started
     if not ends:
@@ -219,7 +316,7 @@ def solve(
         best_objective=value,
         max_violation=worst,
         feasible=bool(feasible),
-        iterations=iterations,
+        iterations=sum(iterations for _, iterations in solved),
         wall_time=elapsed,
         starts_tried=len(starts),
         method="slsqp",

@@ -144,21 +144,29 @@ def scenario_from_dict(doc: dict) -> WorldState:
     return WorldState(balances, pools)
 
 
-def read_json(source: str | Path, what: str) -> tuple[Any, str]:
-    """The JSON document in a file (or package resource) and the sha256 of its bytes, read once.
+def read_text(source: str | Path, what: str) -> tuple[str, str]:
+    """The text of a file (or package resource) and the sha256 of its bytes, read once.
 
-    The bytes are decoded as `Path.read_text` decodes them; bad JSON raises
-    a ConfigError naming `what`, the file and the line.
+    The bytes are decoded as `Path.read_text` decodes them; undecodable bytes
+    raise a ConfigError naming `what`, the file and the line.
     """
     raw = (Path(source) if isinstance(source, str) else source).read_bytes()
     try:
-        doc = json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {source}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {source}: line {undecodable_line(io.BytesIO(raw), exc.encoding)}: "
                           f"can't decode {exc.object[exc.start:exc.end]!r} as {exc.encoding}") from None
-    return doc, hashlib.sha256(raw).hexdigest()
+    return text, hashlib.sha256(raw).hexdigest()
+
+
+def read_json(source: str | Path, what: str) -> tuple[Any, str]:
+    """The JSON document in a file (or package resource) and the sha256 of its bytes, read once
+    by `read_text`; bad JSON raises a ConfigError naming `what`, the file and the line."""
+    text, digest = read_text(source, what)
+    try:
+        return json.loads(text), digest
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {source}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
 def undecodable_line(lines: Iterable[bytes], encoding: str) -> int:

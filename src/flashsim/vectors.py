@@ -282,15 +282,17 @@ def replay_table(vector: AttackVector, scenario: WorldState) -> Callable[[np.nda
         cached = last.get(p.shape)  # one read: a thread may replace the entry whole meanwhile
         if cached is not None and cached[0] == key:
             return cached[1]
-        rows = []
-        try:
-            for point in p.reshape(-1, p.shape[-1]):
+        points = p.reshape(-1, p.shape[-1])
+        for i, point in enumerate(points):
+            try:
                 trace = evaluate(vector, scenario, point)
-                rows.append([trace.objective_value, *(res.value for res in trace.residuals)])
-        except EvaluationError as exc:
-            exc.row = len(rows)
-            raise
-        values = np.array(rows).reshape(*p.shape[:-1], -1)
+            except EvaluationError as exc:
+                exc.row = i
+                raise
+            if i == 0:  # the first replay gives the width; rows go straight into the table
+                values = np.empty((len(points), 1 + len(trace.residuals)))
+            values[i] = [trace.objective_value, *(res.value for res in trace.residuals)]
+        values = values.reshape(*p.shape[:-1], -1)
         last[p.shape] = (key, values)
         return values
 

@@ -104,8 +104,11 @@ MALFORMED = {
     "market-fee-nan": (MARKET_TEXT.replace('"uY": 35000.0', '"uY": 35000.0, "fee": NaN'), MARKET),
     "trace-amount-nan": ("1,a,XY,nan\n", REPLAY),
     "trace-three-fields": ("1,a,XY\n", REPLAY),  # exited 2 already, but untested
+    # undecodable text files, once named by the codec's chunk offset alone
+    "trace-undecodable": (b"1,a,XY,1\n1,b,\xff,2\n", REPLAY),
     "prices-list": ("[]", ["classify", "--prices", "FILE"]),
     "map-bad-address": ("0x12,Foo\n", ["classify", "--map", "FILE"]),
+    "map-undecodable": (b"0x12\xff,Foo\n", ["classify", "--map", "FILE"]),
     "chain-steps-string": (chain_text(steps="x"), EVAL_CHAIN),
     "chain-binding-beyond-n-params": (chain_call({"op": "flash_loan", "pool": "flash", "amount": "p2"}),
                                       EVAL_CHAIN),
@@ -132,8 +135,10 @@ MALFORMED = {
 }
 
 
-# The error line of a malformed file where it must name what is wrong.
+# The error line of a malformed file where it must name what is wrong; FILE is the file's path.
 MESSAGES = {
+    "trace-undecodable": "error: trace FILE: line 2: can't decode b'\\xff' as utf-8\n",
+    "map-undecodable": "error: address map FILE: line 1: can't decode b'\\xff' as utf-8\n",
     "scenario-field-nan": "error: pool 'flash': vX must be finite, got nan\n",
     "scenario-field-infinite": "error: pool 'amm': uY must be finite, got inf\n",
     "scenario-balance-nan": "error: balance of adversary/ETH must be finite, got nan\n",
@@ -146,10 +151,10 @@ MESSAGES = {
 def test_malformed_input_file_exits_2_with_one_error_line(runner, tmp_path, case):
     text, argv = MALFORMED[case]
     path = tmp_path / "input"
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     res = runner.invoke(main, [str(path) if a == "FILE" else a for a in argv])
     assert_unusable_input(res)
-    assert res.stderr == MESSAGES.get(case, res.stderr)
+    assert res.stderr == MESSAGES.get(case, res.stderr).replace("FILE", str(path))
 
 
 @pytest.mark.parametrize("content, error", [
@@ -260,6 +265,18 @@ def test_unusable_option_exits_2_with_one_error_line(runner, argv):
     assert_unusable_input(runner.invoke(main, argv))
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--scenario", "pump_arbitrag", "--vector", "paa"],
+     "--scenario 'pump_arbitrag' is neither a bundled scenario (pump_arbitrage, oracle_manipulation) nor a file"),
+    (["--scenario", "pump_arbitrage", "--vector", "paaa"],
+     "--vector 'paaa' is neither a built-in vector (paa, oracle) nor a file"),
+], ids=["scenario", "vector"])
+def test_misspelled_built_in_name_says_a_name_or_file_was_expected(runner, argv, error):
+    res = runner.invoke(main, ["evaluate", *argv, "1", "1"])
+    assert_unusable_input(res)
+    assert res.stderr == f"error: {error}\n"
+
+
 def test_bound_error_names_the_parameter_as_written(runner):
     res = runner.invoke(main, [*OPTIMIZE_PAA, "--bound", "p0:0:1"])
     assert res.stderr == "error: vector 'paa' has no parameter p0, only p1..p2\n"
@@ -332,6 +349,15 @@ class TestOptimize:
         params = json.loads(res.output)["results"]["solver"]["best_params"]
         assert params[0] == pytest.approx(2404.0, rel=1e-2)
         assert params[1] == pytest.approx(1344.0, rel=1e-2)
+
+    @pytest.mark.parametrize("p1, p2, code", [("100", "50", 1), ("2000", "1000", 0)], ids=["infeasible", "feasible"])
+    def test_every_parameter_fixed_reports_the_fixed_point(self, runner, p1, p2, code):
+        res = runner.invoke(main, ["--format", "structured", "optimize", "--scenario", "pump_arbitrage",
+                                   "--vector", "paa", "--bound", f"p1:{p1}:{p1}", "--bound", f"p2:{p2}:{p2}"])
+        assert res.exit_code == code, res.output
+        solver = json.loads(res.stdout)["results"]["solver"]
+        assert solver["best_params"] == [float(p1), float(p2)]
+        assert (solver["iterations"], solver["feasible"]) == (0, code == 0)
 
     def test_bad_scenario_file_exits_2_with_no_output(self, runner, tmp_path):
         broken = tmp_path / "broken.json"

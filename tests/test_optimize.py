@@ -3,11 +3,15 @@
 import math
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.optimize._numdiff import approx_derivative
+
+from flashsim import vectors
 
 from flashsim.models import ConfigError
 from flashsim.optimize import (
@@ -25,6 +29,7 @@ from flashsim.optimize import (
 from flashsim.vectors import (
     AttackVector,
     ConstraintSpec,
+    EvaluationError,
     build_oracle_vector,
     build_paa_vector,
     describe,
@@ -86,6 +91,101 @@ def assert_grid_matches_full_mesh(vector, scenario, resolution, ignore=()):
     assert (grid.feasible, grid.best_objective, grid.best_params, grid.max_violation) == expected
     assert grid.iterations == resolution ** vector.n_params * (2 if grid.feasible else 1)
     return grid
+
+
+def minimize_reference(vector, scenario, config, ignore=()):
+    """The solver as one `scipy.optimize.minimize(method="SLSQP")` call per start, with SciPy
+    differencing the constraints itself: the reference for the lockstep driver.  Returns the
+    best params, objective and max violation, the iterations and the number of starts skipped."""
+    prob = problem(vector, scenario, ignore)
+    lo, hi = np.array(vector.bounds, dtype=float).T
+    n, step = len(lo), config.fd_step
+
+    def neg_obj(p):
+        return -float(prob.objective(p))
+
+    def grad_neg(p):
+        values = np.asarray(prob.objective(np.concatenate([p + step * np.eye(n), p - step * np.eye(n)])))
+        return -(values[:n] - values[n:]) / (2.0 * step)
+
+    constraints = [{"type": "ineq", "fun": prob.residuals}] if prob.constraints else []
+    ends, iterations, skipped = [], 0, 0
+    for x0 in latin_hypercube(config.starts, vector.bounds, config.seed):
+        try:
+            with warnings.catch_warnings():  # SLSQP may step a few ulps outside the box
+                warnings.filterwarnings("ignore", "Values in x were outside bounds", RuntimeWarning)
+                res = minimize(neg_obj, x0, jac=grad_neg, bounds=prob.bounds, constraints=constraints,
+                               method="SLSQP", options={"maxiter": config.max_iterations, "ftol": config.tolerance})
+        except EvaluationError:
+            skipped += 1
+            continue
+        iterations += int(res.nit)
+        x = np.clip(res.x, lo, hi)
+        value = float(prob.objective(x))
+        if np.isfinite(value):
+            ends.append((value, x, float(prob.residuals(x).min(initial=np.inf))))
+    feasible = [end for end in ends if end[2] >= -FEASIBILITY_TOL]
+    value, x, worst = max(feasible, key=lambda end: end[0]) if feasible else max(ends, key=lambda end: end[2])
+    return tuple(float(v) for v in x), value, worst, iterations, skipped
+
+
+def capped_linear_vector():
+    """Maximize 2 p1 + 3 p2 with p1 <= 50; the objective fails to evaluate past p1 = 80 and
+    names the first failing row of a batch, as a replayed chain does."""
+    def objective(p):
+        p = np.asarray(p, dtype=float)
+        failing = np.flatnonzero(p.reshape(-1, 2)[:, 0] > 80.0)
+        if failing.size:
+            exc = EvaluationError(1, "p1 past 80")
+            exc.row = int(failing[0])
+            raise exc
+        return 2.0 * p[..., 0] + 3.0 * p[..., 1]
+    cap = ConstraintSpec("cap", "p1 <= 50", 1, True, lambda p: 50.0 - np.asarray(p)[..., 0])
+    return replace(linear_test_vector(), constraints=(cap,), objective=objective)
+
+
+class TestLockstepMatchesMinimize:
+    """The lockstep driver gives SciPy's own per-start SLSQP results, bit for bit."""
+
+    @staticmethod
+    def assert_matches(vector, state, config, ignore=()):
+        result = solve(vector, state, config, ignore)
+        expected = minimize_reference(vector, state, config, ignore)
+        assert (result.best_params, result.best_objective, result.max_violation, result.iterations) == expected[:4]
+        return expected[4]
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 58])
+    @pytest.mark.parametrize("name, ignore", [("paa", ()), ("oracle", ()), ("oracle", ("zY",))])
+    def test_incident_problems(self, name, ignore, seed, request):
+        vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
+        self.assert_matches(vector, state, SolverConfig(seed=seed), ignore)
+
+    def test_fixed_parameter(self, oracle, oracle_state):
+        self.assert_matches(with_bounds(oracle, {0: (300.0, 300.0)}), oracle_state, SolverConfig(seed=0, starts=4))
+
+    def test_unconstrained(self, paa_state):
+        self.assert_matches(linear_test_vector(), paa_state, SolverConfig(seed=0, starts=4))
+
+    def test_infeasible(self, paa_state):
+        never = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -1.0)
+        self.assert_matches(replace(linear_test_vector(), constraints=(never,)), paa_state, SolverConfig(seed=0))
+
+    @pytest.mark.parametrize("seed", [0, 58])
+    def test_described_paa(self, paa, paa_state, seed):
+        described = parse_vector(describe(paa), paa_state)
+        self.assert_matches(described, paa_state, SolverConfig(seed=seed, starts=4))
+
+    def test_only_the_starts_that_fail_are_skipped(self, paa_state):
+        skipped = self.assert_matches(capped_linear_vector(), paa_state, SolverConfig(seed=1))
+        assert 0 < skipped < 16
+
+    def test_jacobian_reuses_the_replay_of_the_objective(self, paa, paa_state, monkeypatch):
+        # SLSQP asks for a Jacobian only where it has just asked for the residuals
+        described = parse_vector(describe(paa), paa_state)
+        replayed, real = [], vectors.evaluate
+        monkeypatch.setattr(vectors, "evaluate", lambda v, s, p: replayed.append(tuple(p)) or real(v, s, p))
+        solve(described, paa_state, SolverConfig(seed=0, starts=4))
+        assert (len(replayed), len(set(replayed))) == (360, 333)
 
 
 class TestSolve:
@@ -275,7 +375,7 @@ class TestFiniteDifferences:
             bump = np.zeros_like(x)
             bump[i] = h
             expected.append((float(f(x + bump)) - float(f(x - bump))) / (2.0 * h))
-        assert np.array_equal(_central_difference(f, x, h), expected)
+        assert np.array_equal(_central_difference(f, x[None], h)[0], expected)
 
     def test_requires_interior_point(self, paa, paa_state):
         with pytest.raises(ValueError):
@@ -286,12 +386,16 @@ class TestConstraintJacobian:
     """SLSQP's constraint Jacobian is SciPy's own 2-point one, bit for bit."""
 
     @staticmethod
-    def assert_scipy_jacobian(prob, x):
+    def jacobian(prob, x):
+        lo, hi = np.array(prob.bounds, dtype=float).T
+        return _forward_jacobian(prob.residuals, x[None], lo, hi, prob.residuals(np.clip(x, lo, hi))[None])[0]
+
+    def assert_scipy_jacobian(self, prob, x):
         lo, hi = np.array(prob.bounds, dtype=float).T
         with np.errstate(invalid="ignore", divide="ignore"):
             expected = approx_derivative(prob.residuals, x, method="2-point",
                                          abs_step=np.sqrt(np.finfo(float).eps), bounds=(lo, hi))
-            jacobian = _forward_jacobian(prob.residuals, x, lo, hi)
+            jacobian = self.jacobian(prob, x)
         assert np.array_equal(jacobian, expected, equal_nan=True)
         return jacobian
 
@@ -321,7 +425,7 @@ class TestConstraintJacobian:
                 self.assert_scipy_jacobian(prob, x)
         # SLSQP may step just outside the box; SciPy clips x before differencing
         outside = hi + 1e-9 * (hi - lo)
-        assert np.array_equal(_forward_jacobian(prob.residuals, outside, lo, hi), at_hi, equal_nan=True)
+        assert np.array_equal(self.jacobian(prob, outside), at_hi, equal_nan=True)
 
     def test_zero_width_box_gives_a_nan_column(self, oracle, oracle_state):
         prob = problem(with_bounds(oracle, {0: (300.0, 300.0)}), oracle_state)
