@@ -15,7 +15,6 @@ and a replay file format stand in for them.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 from dataclasses import dataclass
@@ -72,55 +71,25 @@ class ArbOutcome:
     intermediaries: int
 
 
-# Pools are carried as plain floats, or as arrays with one entry per lane
-# when many event streams replay in lockstep.  A Y-in trade is the
-# constant-product kernel with the reserves swapped.
+# Both pools' reserves are the rows ax, ay, bx, by: a list for the buy leg,
+# a (4, lanes) array when event streams replay in lockstep, a column each.
+# An event is a one-byte code, the row it pays into (its pool's X row for XY,
+# its Y row for YX), and an amount; it pays out of row code ^ 1.  A trade on
+# any other exchange pays 0, which leaves the pool bit-for-bit unchanged.
 
-class _Pools:
-    __slots__ = ("ax", "ay", "afee", "bx", "by", "bfee")
-
-    def __init__(self, market: TwoExchangeMarket):
-        self.ax, self.ay = market.exchange_a.reserve_x, market.exchange_a.reserve_y
-        self.bx, self.by = market.exchange_b.reserve_x, market.exchange_b.reserve_y
-        self.afee = market.exchange_a.fee_rate
-        self.bfee = market.exchange_b.fee_rate
-
-    def lanes(self, count: int) -> "_Pools":
-        """A copy with every reserve repeated over `count` lanes."""
-        lanes = copy.copy(self)
-        for name in ("ax", "ay", "bx", "by"):
-            setattr(lanes, name, np.full(count, getattr(self, name)))
-        return lanes
-
-    def spot_mean(self):
-        return 0.5 * (self.ax / self.ay + self.bx / self.by)
-
-    def buy_y(self, exchange: str, budget: float) -> float:
-        if exchange == "a":
-            self.ax, self.ay, out = constant_product_swap(self.ax, self.ay, self.afee, budget)
-        else:
-            self.bx, self.by, out = constant_product_swap(self.bx, self.by, self.bfee, budget)
-        return out
-
-    def sell_y(self, exchange: str, quantity: float):
-        """Proceeds of selling `quantity` Y; the reserves are left as they are."""
-        if exchange == "a":
-            return constant_product_swap(self.ay, self.ax, self.afee, quantity)[2]
-        return constant_product_swap(self.by, self.bx, self.bfee, quantity)[2]
-
-    def step(self, xy: np.ndarray, amount_a: np.ndarray, amount_b: np.ndarray) -> None:
-        """Apply one event per lane; a lane whose event is elsewhere pays in 0."""
-        self.ax, self.ay = _swap_lanes(self.ax, self.ay, self.afee, xy, amount_a)
-        self.bx, self.by = _swap_lanes(self.bx, self.by, self.bfee, xy, amount_b)
+_POOL_ROW = {"a": 0, "b": 2}  # a pool's X row; its Y row is the next one
+_IN_OUT = np.array([[0], [1]], dtype=np.uint8)  # code ^ _IN_OUT: the rows paid into and out of
+_LANES = 128  # streams per block: event memory is _LANES x max(i) x 9 bytes, whatever the trial count
+_Block = tuple[np.ndarray, np.ndarray]  # step-major (steps, lanes) codes and amounts
 
 
-def _swap_lanes(rx, ry, fee: float, xy: np.ndarray, amount: np.ndarray):
-    """Pay `amount` of X (lanes where `xy`) or of Y into one pool: (new rx, new ry).
+def _spot_mean(reserves):
+    return 0.5 * (reserves[0] / reserves[1] + reserves[2] / reserves[3])
 
-    A zero amount leaves a lane's reserves bit-for-bit unchanged.
-    """
-    r_in, r_out, _ = constant_product_swap(np.where(xy, rx, ry), np.where(xy, ry, rx), fee, amount)
-    return np.where(xy, r_in, r_out), np.where(xy, r_out, r_in)
+
+def _sell_y(reserves, fees, row: int, quantity: float):
+    """Proceeds of selling `quantity` Y into the pool at `row`; the reserves are left as they are."""
+    return constant_product_swap(reserves[row + 1], reserves[row], fees[row], quantity)[2]
 
 
 def _cheap_exchange(market: TwoExchangeMarket) -> tuple[str, str]:
@@ -129,16 +98,20 @@ def _cheap_exchange(market: TwoExchangeMarket) -> tuple[str, str]:
     return ("a", "b") if price_a <= price_b else ("b", "a")
 
 
-def _buy(market: TwoExchangeMarket, budget: float) -> tuple[_Pools, str, float]:
-    """The buy leg: (pools after it, the exchange to sell on, Y held)."""
+def _buy(market: TwoExchangeMarket, budget: float) -> tuple[list[float], list[float], int, float]:
+    """The buy leg, in Python floats: (reserves after it, each row's fee, the
+    row of the pool to sell on, Y held)."""
     if not 0 < budget < np.inf:
         raise ConfigError(f"budget must be finite and positive, got {budget}")
     buy_on, sell_on = _cheap_exchange(market)
-    pools = _Pools(market)
-    held = pools.buy_y(buy_on, budget)
-    if not (pools.ay if buy_on == "a" else pools.by) > 0:
+    a, b = market.exchange_a, market.exchange_b
+    reserves = [a.reserve_x, a.reserve_y, b.reserve_x, b.reserve_y]
+    fees = [a.fee_rate, a.fee_rate, b.fee_rate, b.fee_rate]
+    row = _POOL_ROW[buy_on]
+    reserves[row], reserves[row + 1], held = constant_product_swap(reserves[row], reserves[row + 1], fees[row], budget)
+    if not reserves[row + 1] > 0:
         raise ConfigError(f"budget {budget:g} drains exchange {buy_on}'s Y reserve")
-    return pools, sell_on, held
+    return reserves, fees, _POOL_ROW[sell_on], held
 
 
 def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, float]:
@@ -148,8 +121,8 @@ def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, f
     the profit is simply <= 0; that is a result, not an error.  The budget
     must be finite and positive and leave the bought pool some Y.
     """
-    pools, sell_on, held = _buy(market, budget)
-    return pools.sell_y(sell_on, held) - budget, held
+    reserves, fees, sell_row, held = _buy(market, budget)
+    return _sell_y(reserves, fees, sell_row, held) - budget, held
 
 
 def non_atomic_arbitrage(
@@ -166,39 +139,22 @@ def non_atomic_arbitrage(
     return ArbOutcome(aarb, float(naarb[0, 0]), float(hv[0, 0]), float(difference[0, 0]), i)
 
 
-# Event arrays code the exchange as 0 for a, 1 for b and 2 for irrelevant
-# replay traffic.  A block holds one lane per stream, step-major: the XY mask
-# and the amounts paid into a and into b (0 where the event is elsewhere).
-
-_EXCHANGE_CODES = {"a": 0, "b": 1}
-_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
-_LANES = 128  # streams per block: event memory is _LANES x max(i), whatever the trial count
-
-
-def _block(lanes: Iterable[tuple[np.ndarray, ...]], count: int, steps: int) -> _Block:
-    """Step-major block of `count` lanes' first `steps` events.
-
-    Each lane comes as arrays of exchange code, XY mask and amount, and is
-    written in as it arrives, so only one lane's draws exist besides the block.
-    """
-    xy = np.empty((steps, count), dtype=bool)
-    amount_a, amount_b = np.empty((2, steps, count))
-    for lane, (exchange, is_xy, amount) in enumerate(lanes):
-        exchange, amount = exchange[:steps], amount[:steps]
-        xy[:, lane] = is_xy[:steps]
-        amount_a[:, lane] = np.where(exchange == 0, amount, 0.0)
-        amount_b[:, lane] = np.where(exchange == 1, amount, 0.0)
-    return xy, amount_a, amount_b
+def _fill(buffer: _Block, lanes: Iterable[tuple[np.ndarray, np.ndarray]]) -> _Block:
+    """Write lanes of (codes, amounts) into the first columns of `buffer`, cut
+    to its steps; the filled columns.  Each lane is written in as it arrives,
+    so only one lane's draws exist besides the buffer."""
+    codes, amounts = buffer
+    for count, (code, amount) in enumerate(lanes, start=1):
+        codes[:, count - 1] = code[:len(codes)]
+        amounts[:, count - 1] = amount[:len(codes)]
+    return codes[:, :count], amounts[:, :count]
 
 
 def _event_block(events: Sequence[TradeEvent]) -> _Block:
     """One-lane block of a recorded event sequence."""
-    lane = (
-        np.array([_EXCHANGE_CODES.get(e.exchange, 2) for e in events], dtype=np.int64),
-        np.array([e.direction == "XY" for e in events], dtype=bool),
-        np.array([e.amount for e in events], dtype=float),
-    )
-    return _block([lane], 1, len(events))
+    codes = [_POOL_ROW.get(e.exchange, 0) + (e.direction == "YX") for e in events]
+    amounts = [e.amount if e.exchange in _POOL_ROW else 0.0 for e in events]
+    return np.array(codes, dtype=np.uint8).reshape(-1, 1), np.array(amounts, dtype=float).reshape(-1, 1)
 
 
 def _replay(
@@ -209,27 +165,38 @@ def _replay(
     Every block holds at least max(counts) steps; `counts` are sorted and
     distinct.  The buy leg runs once; after each count of events every lane
     sells and is read, its reserves left as they are, so a lane costs
-    max(counts) steps.  Returns aarb and (len(counts), lanes) arrays of naarb,
-    hv and the profit difference.
+    max(counts) steps, each one gather, one swap and one scatter.  Returns
+    aarb and (len(counts), lanes) arrays of naarb, hv and the profit
+    difference.  A block where a lane's reserves or profit difference are
+    not finite at some count (the trades overflowed or drained a pool)
+    raises a ConfigError naming the first such count.
     """
-    bought, sell_on, held = _buy(market, budget)
-    aarb = bought.sell_y(sell_on, held) - budget  # selling leaves the reserves as they are
-    mean_before = bought.spot_mean()
+    bought, fees, sell_row, held = _buy(market, budget)
+    aarb = _sell_y(bought, fees, sell_row, held) - budget
+    mean_before = _spot_mean(bought)
+    bought, fees = np.array(bought)[:, None], np.array(fees)
     naarb, hv = [], []
-    for xy, amount_a, amount_b in blocks:
-        pools = bought.lanes(xy.shape[1])
-        block_naarb, block_hv = np.empty((2, len(counts), xy.shape[1]))
-        done = 0
-        for row, count in enumerate(counts):
-            for j in range(done, count):
-                pools.step(xy[j], amount_a[j], amount_b[j])
-            done = count
-            mean_after = pools.spot_mean()
-            block_naarb[row] = pools.sell_y(sell_on, held) - budget
-            block_hv[row] = held * (mean_after - mean_before)
-        naarb.append(block_naarb)
-        hv.append(block_hv)
-        del xy, amount_a, amount_b  # free this block before the next one is built
+    with np.errstate(all="ignore"):
+        for codes, amounts in blocks:
+            lanes = np.arange(codes.shape[1])
+            pools = np.repeat(bought, len(lanes), axis=1)
+            block_naarb, block_hv = np.empty((2, len(counts), len(lanes)))
+            finite = np.empty(len(counts), dtype=bool)
+            done = 0
+            for row, count in enumerate(counts):
+                for code, amount in zip(codes[done:count], amounts[done:count]):
+                    paid = code ^ _IN_OUT, lanes
+                    pools[paid] = constant_product_swap(*pools[paid], fees[code], amount)[:2]
+                done = count
+                block_naarb[row] = _sell_y(pools, fees, sell_row, held) - budget
+                block_hv[row] = held * (_spot_mean(pools) - mean_before)
+                finite[row] = np.isfinite(pools).all()  # an overflowed reserve stays non-finite
+            finite &= np.isfinite(aarb - (block_naarb - block_hv)).all(axis=1)
+            if not finite.all():
+                raise ConfigError(f"profit difference at i={counts[int(np.argmin(finite))]} is not finite: "
+                                  "the intermediary trades overflow or drain a pool")
+            naarb.append(block_naarb)
+            hv.append(block_hv)
     naarb, hv = np.concatenate(naarb, axis=1), np.concatenate(hv, axis=1)
     return aarb, naarb, hv, aarb - (naarb - hv)
 
@@ -271,25 +238,27 @@ class SyntheticStream:
             raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
 
     def events(self, trial: int = 0) -> tuple[TradeEvent, ...]:
-        exchanges, xy, amounts = self._draws(trial)
+        codes, amounts = self._draws(trial)
         return tuple(
-            TradeEvent("ab"[e], "XY" if d else "YX", float(a))
-            for e, d, a in zip(exchanges, xy, amounts)
+            TradeEvent("ab"[c >> 1], ("XY", "YX")[c & 1], float(a))
+            for c, a in zip(codes.tolist(), amounts)
         )
 
-    def _draws(self, trial: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Trial `trial`'s events as arrays: exchange code, XY mask, amount."""
+    def _draws(self, trial: int) -> tuple[np.ndarray, np.ndarray]:
+        """Trial `trial`'s events as arrays: row code and amount."""
         rng = np.random.default_rng((self.seed, trial))
-        exchanges = rng.choice(2, size=self.size)  # the draws of choice(["a", "b"])
-        xy = rng.choice(2, size=self.size) == 0  # the draws of choice(["XY", "YX"])
+        codes = 2 * rng.choice(2, size=self.size)  # the draws of choice(["a", "b"]): the X row
+        codes += rng.choice(2, size=self.size)  # the draws of choice(["XY", "YX"]): X or Y row
         amounts = self.amount_scale * rng.lognormal(mean=0.0, sigma=self.sigma, size=self.size)
-        return exchanges, xy, amounts
+        return codes, amounts
 
     def _blocks(self, trials: int, steps: int) -> Iterator[_Block]:
-        """Blocks of up to _LANES trials, cut to their first `steps` events."""
+        """Blocks of up to _LANES trials' first `steps` events, each refilled
+        into one buffer that is allocated once."""
+        shape = steps, min(trials, _LANES)
+        buffer = np.empty(shape, dtype=np.uint8), np.empty(shape)
         for first in range(0, trials, _LANES):
-            last = min(first + _LANES, trials)
-            yield _block((self._draws(t) for t in range(first, last)), last - first, steps)
+            yield _fill(buffer, (self._draws(t) for t in range(first, min(first + _LANES, trials))))
 
 
 @dataclass(frozen=True)

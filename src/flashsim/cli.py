@@ -355,7 +355,10 @@ def classify_cmd(obj, input_file, map_file, prices_file):
         if isinstance(bad, str):
             bad = bad.encode(exc.encoding, "surrogateescape")
         if input_file == "-":
-            where = f"after {lines_read} line(s) read"
+            # The text layer decodes a read chunk ahead of the lines it has handed
+            # out, so count on from them through the line ends the chunk has first.
+            ahead = exc.object[:exc.start].count(b"\n") if isinstance(exc.object, bytes) else 0
+            where = f"line {lines_read + 1 + ahead}"
         else:
             with open(input_file, "rb") as raw:
                 where = f"line {undecodable_line(raw, exc.encoding)}"

@@ -22,6 +22,7 @@ parameters, in memory bounded at any resolution; its time grows as res ** n.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -340,14 +341,19 @@ def grid_oracle(
         raise ConfigError("grid resolution must be at least 2")
     started = time.perf_counter()
     prob = problem(vector, scenario, ignore)
+    evaluated = 0
 
     def scan(lo: np.ndarray, hi: np.ndarray) -> tuple[bool, float, np.ndarray, float]:
         """(feasible, objective, point, smallest scaled residual) at the first best
-        feasible point of the row-major mesh, or at its `lo` corner if none is."""
-        axes = [np.linspace(a, b, resolution) for a, b in zip(lo, hi)]
-        size, winners = resolution ** len(axes), []  # per block: key, objective, point, worst
+        feasible point of the row-major mesh, or at its `lo` corner if none is.
+        A zero-width axis is one mesh line: its other lines repeat every point."""
+        nonlocal evaluated
+        shape = tuple(resolution if a < b else 1 for a, b in zip(lo, hi))
+        axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, shape)]
+        size, winners = math.prod(shape), []  # per block: key, objective, point, worst
+        evaluated += size
         for start in range(0, size, GRID_BLOCK):
-            index = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, size)), (resolution,) * len(axes))
+            index = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, size)), shape)
             pts = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
             values = np.asarray(prob.objective(pts), dtype=float)
             worst = prob.residuals(pts).min(axis=-1, initial=np.inf)
@@ -359,11 +365,9 @@ def grid_oracle(
 
     lo, hi = np.array(vector.bounds, dtype=float).T
     best = scan(lo, hi)
-    evaluated = resolution ** vector.n_params
     if best[0]:
         cell = (hi - lo) / (resolution - 1)
         fine = scan(np.maximum(lo, best[2] - cell), np.minimum(hi, best[2] + cell))
-        evaluated += resolution ** vector.n_params
         if fine[0] and fine[1] > best[1]:
             best = fine
 

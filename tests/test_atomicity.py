@@ -323,14 +323,15 @@ class TestLockstepSweep:
             raise AssertionError("sweep built TradeEvent objects")
 
         lanes = []
-        block = atomicity._block
+        fill = atomicity._fill
 
-        def counting_block(draws, count, steps):
-            lanes.append(count)
-            return block(draws, count, steps)
+        def counting_fill(buffer, draws):
+            codes, amounts = fill(buffer, draws)
+            lanes.append(codes.shape[1])
+            return codes, amounts
 
         monkeypatch.setattr(SyntheticStream, "events", no_events)
-        monkeypatch.setattr(atomicity, "_block", counting_block)
+        monkeypatch.setattr(atomicity, "_fill", counting_fill)
         trials = 2 * atomicity._LANES + 5
         rows = sweep(market(), 2.0, SyntheticStream(seed=6, size=50), [50, 10], trials)
         assert [r.trials for r in rows] == [trials, trials]
@@ -339,7 +340,7 @@ class TestLockstepSweep:
 
     def test_one_lane_block_is_alive_at_a_time(self):
         steps, trials = 1000, 3 * atomicity._LANES + 5
-        block_bytes = steps * atomicity._LANES * (1 + 8 + 8)  # XY mask and two amounts
+        block_bytes = steps * atomicity._LANES * (1 + 8)  # a row code and an amount
         tracemalloc.start()
         try:
             sweep(market(), 2.0, SyntheticStream(seed=3, size=steps), [0, steps], trials,
@@ -349,6 +350,31 @@ class TestLockstepSweep:
             tracemalloc.stop()
         # the loop variables once kept block k while block k + 1 was built
         assert peak < block_bytes + 2 ** 19
+
+    def test_blocks_are_refilled_into_one_buffer(self):
+        stream = SyntheticStream(seed=7, size=40)
+        blocks = stream._blocks(2 * atomicity._LANES + 5, 30)
+        first_codes, first_amounts = next(blocks)
+        for codes, amounts in blocks:  # the next blocks overwrite the first one's buffer
+            assert np.shares_memory(codes, first_codes) and np.shares_memory(amounts, first_amounts)
+        assert codes.shape == amounts.shape == (30, 5)
+
+    @pytest.mark.parametrize("stream, first", [
+        (SyntheticStream(seed=1, size=3, amount_scale=1e308), 1),  # some draws overflow to inf
+        # 1e308 X into exchange a pays out more Y than it holds: a finite spot price, a -inf reserve
+        (ReplayStream((TradeEvent("b", "YX", 1.0), TradeEvent("a", "XY", 1e308), TradeEvent("a", "XY", 1.0))), 2),
+    ], ids=["synthetic", "replay"])
+    def test_overflow_is_unusable_input(self, stream, first):
+        rows = sweep(market(), 2.0, stream, range(first), trials=4)
+        assert all(np.isfinite(r.mean) for r in rows)
+        with pytest.raises(ConfigError, match=rf"^profit difference at i={first} is not finite"):
+            sweep(market(), 2.0, stream, [3, 0, first, 1], trials=4)
+
+    def test_overflow_in_one_lane_call(self):
+        events = (TradeEvent("a", "XY", 1e308), TradeEvent("a", "XY", 1.0))
+        assert non_atomic_arbitrage(market(), 2.0, events, 0).profit_difference == 0.0
+        with pytest.raises(ConfigError, match=r"^profit difference at i=2 is not finite"):
+            non_atomic_arbitrage(market(), 2.0, events, 2)
 
 
 class TestTraces:

@@ -253,6 +253,7 @@ UNUSABLE_OPTIONS = {
     "sigma-nan": [*ATOMICITY, "--sigma", "nan"],
     "sigma-negative": [*ATOMICITY, "--sigma", "-1"],
     "stream-size-negative": [*ATOMICITY, "--stream-size", "-1"],
+    "amount-scale-overflow": [*ATOMICITY, "--amount-scale", "1e308"],
     "bound-without-range": [*OPTIMIZE_PAA, "--bound", "p2"],
     "bound-not-a-parameter": [*OPTIMIZE_PAA, "--bound", "q1:0:1"],
     "bound-p0": [*OPTIMIZE_PAA, "--bound", "p0:0:1"],
@@ -355,9 +356,11 @@ class TestOptimize:
         res = runner.invoke(main, ["--format", "structured", "optimize", "--scenario", "pump_arbitrage",
                                    "--vector", "paa", "--bound", f"p1:{p1}:{p1}", "--bound", f"p2:{p2}:{p2}"])
         assert res.exit_code == code, res.output
-        solver = json.loads(res.stdout)["results"]["solver"]
-        assert solver["best_params"] == [float(p1), float(p2)]
+        results = json.loads(res.stdout)["results"]
+        solver, grid = results["solver"], results["grid"]
+        assert solver["best_params"] == grid["best_params"] == [float(p1), float(p2)]
         assert (solver["iterations"], solver["feasible"]) == (0, code == 0)
+        assert grid["iterations"] == (2 if code == 0 else 1)  # one point per pass, not 200 ** 2
 
     def test_bad_scenario_file_exits_2_with_no_output(self, runner, tmp_path):
         broken = tmp_path / "broken.json"
@@ -496,6 +499,19 @@ class TestAtomicity:
         assert rows[1]["ci_low"] == pytest.approx(-0.020694, abs=1e-6)
 
 
+    @pytest.mark.parametrize("source", ["synthetic", "replay"])
+    def test_overflow_exits_2_with_one_error_line(self, tmp_path, source):
+        # both printed numpy RuntimeWarnings and rows of NaN, invalid JSON, with exit 0
+        trace = tmp_path / "trades.csv"
+        trace.write_text("1,a,XY,1e308\n" * 3)
+        extra = ["--replay", str(trace)] if source == "replay" else ["--amount-scale", "1e308"]
+        res = spawn(["-m", "flashsim.cli", "--format", "structured", "atomicity", "--market",
+                     str(GOLDEN / "market.json"), "--budget", "2", "--i-values", "0,3", *extra])
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == ("error: profit difference at i=3 is not finite: "
+                              "the intermediary trades overflow or drain a pool\n")
+
+
 class TestClassify:
     def test_structured_golden(self, runner, monkeypatch):
         monkeypatch.chdir(Path(__file__).parents[1])
@@ -534,16 +550,19 @@ def test_undecodable_classify_file_names_the_line(runner, tmp_path):
     assert res.stderr == f"error: input {path}: line 3001: can't decode b'\\xff' as utf-8\n"
 
 
-def test_undecodable_classify_stdin_names_the_lines_read(runner, tmp_path):
-    res = runner.invoke(main, ["classify"], input=UNDECODABLE)  # a stdin that fails to decode the byte
+def test_undecodable_classify_stdin_names_the_line(runner, tmp_path):
+    # a stdin whose text layer failed once named a lower bound, "after 2958 line(s) read"
+    res = runner.invoke(main, ["classify"], input=UNDECODABLE)
     assert_unusable_input(res)
-    assert re.fullmatch(r"error: input -: after \d+ line\(s\) read: can't decode b'\\xff' as utf-8\n", res.stderr)
+    assert res.stderr == "error: input -: line 3001: can't decode b'\\xff' as utf-8\n"
     path = tmp_path / "loans.jsonl"
     path.write_bytes(UNDECODABLE)
-    with path.open("rb") as stdin:  # a stdin that escapes the byte as a lone surrogate
-        spawned = spawn(["-m", "flashsim.cli", "classify"], stdin, PYTHONIOENCODING="utf-8:surrogateescape")
-    assert spawned.returncode == 2
-    assert spawned.stderr == "error: input -: after 3000 line(s) read: can't decode b'\\xff' as utf-8\n"
+    # a stdin that fails to decode the byte, and one that escapes it as a lone surrogate
+    for errors in ("strict", "surrogateescape"):
+        with path.open("rb") as stdin:
+            spawned = spawn(["-m", "flashsim.cli", "classify"], stdin, PYTHONIOENCODING=f"utf-8:{errors}")
+        assert spawned.returncode == 2
+        assert spawned.stderr == "error: input -: line 3001: can't decode b'\\xff' as utf-8\n"
 
 
 class TestDescribe:

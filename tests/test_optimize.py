@@ -325,6 +325,19 @@ class TestGridOracle:
         assert 8 * 17 ** 2 < GRID_BLOCK < 17 ** 3
         assert grid.best_params == (50.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("name, fixed", [
+        ("paa", {0: (2000.0, 2000.0)}), ("paa", {1: (1000.0, 1000.0)}), ("oracle", {1: (300.0, 300.0)}),
+        ("oracle", {0: (540.0, 540.0), 2: (3000.0, 3000.0)})])
+    def test_a_fixed_axis_is_scanned_as_one_mesh_line(self, name, fixed, request):
+        # a fixed axis was scanned at full resolution, every line the same points
+        vector = with_bounds(request.getfixturevalue(name), fixed)
+        state = request.getfixturevalue(f"{name}_state")
+        grid = grid_oracle(vector, state, 17)
+        expected = full_mesh_grid(vector, state, 17)
+        assert (grid.feasible, grid.best_objective, grid.best_params, grid.max_violation) == expected
+        assert grid.feasible
+        assert grid.iterations == 2 * 17 ** (vector.n_params - len(fixed))
+
     @pytest.mark.parametrize("resolution", [60, 90])
     def test_memory_is_bounded_at_any_resolution(self, oracle, oracle_state, resolution):
         tracemalloc.start()
