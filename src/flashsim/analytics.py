@@ -115,12 +115,10 @@ class LoanRecord:
 
 
 def _quantity(doc: dict, key: str) -> float:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, got {type(value).__name__}")
-    if not 0 <= value <= MAX_QUANTITY:  # NaN fails too
-        raise ValueError(f"{key} must be in [0, {MAX_QUANTITY:g}], got {value!r}")
-    return float(value)
+    number = as_number(doc[key], key)
+    if not 0 <= number <= MAX_QUANTITY:  # NaN fails too
+        raise ValueError(f"{key} must be in [0, {MAX_QUANTITY:g}], got {doc[key]!r}")
+    return number
 
 
 def parse_records(lines: Iterable[str], start: int = 1) -> tuple[list[LoanRecord], list[str]]:
@@ -302,31 +300,6 @@ def _chunks(lines: Iterable[str]) -> Iterator[list[str]]:
             yield chunk
             chunk = []
     yield chunk
-
-
-def wash_trading_cost(
-    target_volume_usd: float,
-    dex_fee: float,
-    loan_fee: float,
-    gas_cost_per_txn: float,
-    n_txns: int,
-) -> float:
-    """USD cost of faking `target_volume_usd` of volume with looped flash loans.
-
-    The full volume pays the exchange fee; each wash loop trades the loan
-    twice, so the loan principal is half the volume and pays the loan fee
-    once; every transaction pays gas.
-    """
-    for name, fee in (("dex_fee", dex_fee), ("loan_fee", loan_fee)):
-        if not 0 <= fee < 1:
-            raise ConfigError(f"{name} must be in [0, 1), got {fee}")
-    if target_volume_usd < 0 or gas_cost_per_txn < 0 or n_txns < 0:
-        raise ConfigError("volume, gas cost, and transaction count must be non-negative")
-    return (
-        target_volume_usd * dex_fee
-        + (target_volume_usd / 2.0) * loan_fee
-        + n_txns * gas_cost_per_txn
-    )
 
 
 # ---------------------------------------------------------------------------

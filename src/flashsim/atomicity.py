@@ -201,21 +201,6 @@ def _replay(
     return aarb, naarb, hv, aarb - (naarb - hv)
 
 
-def optimal_trade_size(market: TwoExchangeMarket) -> float:
-    """Gap-closing T_A size from marginal-price equalization (zero-fee pools)."""
-    if market.exchange_a.fee_rate != 0 or market.exchange_b.fee_rate != 0:
-        raise ConfigError("closed-form sizing assumes zero-fee pools")
-    buy_on, _ = _cheap_exchange(market)
-    buy = market.exchange_a if buy_on == "a" else market.exchange_b
-    sell = market.exchange_b if buy_on == "a" else market.exchange_a
-    k_buy = buy.reserve_x * buy.reserve_y
-    k_sell = sell.reserve_x * sell.reserve_y
-    size = (np.sqrt(k_buy * k_sell) - buy.reserve_x * sell.reserve_y) / (
-        buy.reserve_y + sell.reserve_y
-    )
-    return max(0.0, float(size))
-
-
 # ---------------------------------------------------------------------------
 # Streams
 # ---------------------------------------------------------------------------
@@ -245,11 +230,13 @@ class SyntheticStream:
         )
 
     def _draws(self, trial: int) -> tuple[np.ndarray, np.ndarray]:
-        """Trial `trial`'s events as arrays: row code and amount."""
+        """Trial `trial`'s events as arrays: row code and amount.  A scale near
+        the float limit can overflow an amount to inf; the replay refuses it."""
         rng = np.random.default_rng((self.seed, trial))
         codes = 2 * rng.choice(2, size=self.size)  # the draws of choice(["a", "b"]): the X row
         codes += rng.choice(2, size=self.size)  # the draws of choice(["XY", "YX"]): X or Y row
-        amounts = self.amount_scale * rng.lognormal(mean=0.0, sigma=self.sigma, size=self.size)
+        with np.errstate(over="ignore"):
+            amounts = self.amount_scale * rng.lognormal(mean=0.0, sigma=self.sigma, size=self.size)
         return codes, amounts
 
     def _blocks(self, trials: int, steps: int) -> Iterator[_Block]:
@@ -363,6 +350,8 @@ def sweep(
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
+    if bootstrap_samples < 1:
+        raise ConfigError(f"need at least one bootstrap resample, got {bootstrap_samples}")
     i_values = list(i_values)
     needed = max(i_values, default=0)
     replay = isinstance(stream, ReplayStream)

@@ -217,11 +217,14 @@ def expect_type(value, kind: type, what: str):
 
 
 def as_number(value, what: str) -> float:
-    """`float(value)`, or a ConfigError naming `what`."""
+    """A JSON number (int or float, never a boolean) as a float, or a ConfigError
+    naming `what`.  An integer too large for a float reads as infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {type(value).__name__}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +321,9 @@ def amm_spot_price_y(state: WorldState, amm_id: str) -> float:
 # Automated price reserve
 # ---------------------------------------------------------------------------
 
-def _reserve_quote(res: AutomatedPriceReserve) -> float:
+def reserve_quote(res: AutomatedPriceReserve) -> float:
+    """The reserve's current quote (X per Y); the max_price cap is a residual, not a clamp."""
     return res.min_price * math.exp(res.liquidity_rate * res.inventory_x)
-
-
-def reserve_price_y(state: WorldState, reserve_id: str) -> float:
-    """Current reserve quote (X per Y); the max_price cap is a residual, not a clamp."""
-    return _reserve_quote(state.pool(reserve_id, AutomatedPriceReserve))
 
 
 def reserve_convert_x_to_y(state: WorldState, reserve_id: str, trader: Entity, amount: float) -> OpResult:
@@ -336,9 +335,9 @@ def reserve_convert_x_to_y(state: WorldState, reserve_id: str, trader: Entity, a
     """
     _require_finite("convert amount", amount, non_negative=True)
     res = state.pool(reserve_id, AutomatedPriceReserve)
-    out = (1.0 - math.exp(-res.liquidity_rate * amount)) / (res.liquidity_rate * _reserve_quote(res))
+    out = (1.0 - math.exp(-res.liquidity_rate * amount)) / (res.liquidity_rate * reserve_quote(res))
     new_res = replace(res, inventory_x=res.inventory_x + amount)
-    post_price = _reserve_quote(new_res)
+    post_price = reserve_quote(new_res)
     new_state = state.transact(trader, ((res.asset_x, -amount), (res.asset_y, out)), {reserve_id: new_res})
     return new_state, [
         Residual("trader_x_balance", state.balance(trader, res.asset_x) - amount),

@@ -36,6 +36,7 @@ from .models import (
     WorldState,
     amm_swap_x_for_y,
     amm_swap_y_for_x,
+    as_number,
     collateralized_borrow,
     collateralized_repay,
     expect_type,
@@ -307,16 +308,8 @@ def closed_form_objective(vector: AttackVector, scenario: WorldState) -> Callabl
     return lambda p: table(p)[..., 0]
 
 
-def list_constraints(vector: AttackVector) -> list[dict]:
-    """Describe every constraint: name, text, step provenance, linearity."""
-    return [
-        {"name": c.name, "description": c.description, "step": c.step, "linear": c.linear}
-        for c in vector.constraints
-    ]
-
-
 def _bound(index: int, pair) -> tuple[float, float]:
-    lo, hi = (float(v) for v in pair)
+    lo, hi = (as_number(v, f"bounds of p{index + 1}") for v in pair)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ConfigError(f"bounds of p{index + 1} must be finite with low <= high, got {list(pair)}")
     return lo, hi

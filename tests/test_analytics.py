@@ -1,4 +1,4 @@
-"""Classification, aggregation, and wash-trading cost arithmetic."""
+"""Record parsing, classification and aggregation."""
 
 import hashlib
 import json
@@ -27,7 +27,6 @@ from flashsim.analytics import (
     format_table_csv,
     format_table_text,
     parse_records,
-    wash_trading_cost,
 )
 from flashsim.cli import main
 from flashsim.models import ConfigError
@@ -262,31 +261,6 @@ def test_fuzzed_loan_lines_are_records_or_parse_errors(lines):
     results = json.loads(res.output, parse_constant=_no_constant)["results"]
     assert len(results["parse_errors"]) == len(errors)
     assert results["total"]["count"] + len(results["classification_errors"]) == len(records)
-
-
-class TestWashTradingCost:
-    def test_zero_volume_costs_gas_only(self):
-        assert wash_trading_cost(0.0, 0.003, 0.0009, 0.01, 3) == pytest.approx(0.03)
-
-    def test_uniswap_day_volume_scenario(self):
-        # fee model arithmetic: 481,893 * 0.003 + 0 + 0.01
-        cost = wash_trading_cost(481_893.0, 0.003, 0.0, 0.01, 1)
-        assert cost == pytest.approx(1445.689, abs=1e-3)
-
-    def test_volume_linearity(self):
-        one = wash_trading_cost(1000.0, 0.003, 0.0009, 0.0, 0)
-        two = wash_trading_cost(2000.0, 0.003, 0.0009, 0.0, 0)
-        assert two == pytest.approx(2 * one)
-
-    def test_monotone_in_volume(self):
-        costs = [wash_trading_cost(v, 0.003, 0.0009, 0.01, 1) for v in (0.0, 10.0, 1e4, 1e6)]
-        assert costs == sorted(costs)
-
-    def test_fee_validation(self):
-        with pytest.raises(ConfigError):
-            wash_trading_cost(1.0, 1.5, 0.0, 0.0, 0)
-        with pytest.raises(ConfigError):
-            wash_trading_cost(-1.0, 0.0, 0.0, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from flashsim.atomicity import (
     bootstrap_mean_ci,
     load_trace,
     non_atomic_arbitrage,
-    optimal_trade_size,
     parse_trace,
     sweep,
 )
@@ -127,23 +127,6 @@ class TestAtomic:
                 ConstantProductAmm("ETH", "DAI", 1.0, 1.0),
                 ConstantProductAmm("ETH", "MKR", 1.0, 1.0),
             )
-
-    def test_optimal_size_is_a_local_maximum(self):
-        m = market()
-        size = optimal_trade_size(m)
-        assert size > 0
-        best, _ = atomic_arbitrage(m, size)
-        for other in (size * 0.9, size * 1.1):
-            worse, _ = atomic_arbitrage(m, other)
-            assert worse <= best + 1e-12
-
-    def test_optimal_size_requires_zero_fees(self):
-        m = TwoExchangeMarket(
-            ConstantProductAmm("ETH", "DAI", 100.0, 35000.0, fee_rate=0.003),
-            ConstantProductAmm("ETH", "DAI", 100.0, 36000.0),
-        )
-        with pytest.raises(ConfigError):
-            optimal_trade_size(m)
 
 
 class TestNonAtomic:
@@ -375,6 +358,14 @@ class TestLockstepSweep:
         assert non_atomic_arbitrage(market(), 2.0, events, 0).profit_difference == 0.0
         with pytest.raises(ConfigError, match=r"^profit difference at i=2 is not finite"):
             non_atomic_arbitrage(market(), 2.0, events, 2)
+
+    def test_overflowed_draw_is_refused_where_it_is_replayed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            events = SyntheticStream(seed=0, size=3, amount_scale=1e308).events(1)
+        assert events[2].amount == np.inf
+        with pytest.raises(ConfigError, match=r"^profit difference at i=3 is not finite"):
+            non_atomic_arbitrage(market(), 2.0, events, 3)
 
 
 class TestTraces:

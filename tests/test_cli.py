@@ -99,6 +99,15 @@ MALFORMED = {
                                 EVAL_SCENARIO),
     "scenario-balance-nan": (scenario_text(lambda d: d["balances"]["adversary"].update(ETH=float("nan"))),
                              EVAL_SCENARIO),
+    # JSON booleans and numeric strings were read as 1.0 and as the number, with exit 0;
+    # an integer too large for a float ended in a traceback
+    "scenario-field-huge-integer": (scenario_text(lambda d: d["pools"]["amm"].update(uY=10**400)),
+                                    EVAL_SCENARIO),
+    "scenario-field-bool": (scenario_text(lambda d: d["pools"]["amm"].update(uX=True)), EVAL_SCENARIO),
+    "scenario-field-numeric-string": (scenario_text(lambda d: d["pools"]["amm"].update(uX="2817.77")),
+                                      EVAL_SCENARIO),
+    "market-fee-bool": (MARKET_TEXT.replace('"uY": 35000.0', '"uY": 35000.0, "fee": true'), MARKET),
+    "prices-bool": ('{"ETH": true}', ["classify", "--prices", "FILE"]),
     "market-list": ("[]", MARKET),
     "market-reserve-nan": (MARKET_TEXT.replace('"uY": 35000.0', '"uY": NaN'), MARKET),
     "market-fee-nan": (MARKET_TEXT.replace('"uY": 35000.0', '"uY": 35000.0, "fee": NaN'), MARKET),
@@ -126,6 +135,7 @@ MALFORMED = {
     "chain-bound-count": (chain_text(bounds=[[0.0, 1.0], [0.0, 1.0]]), EVAL_CHAIN),
     "chain-infinite-bound": (chain_text(bounds=[[0.0, 100.0]]).replace("100.0", "1e309"), EVAL_CHAIN),
     "chain-bound-low-above-high": (chain_text(bounds=[[5.0, 1.0]]), EVAL_CHAIN),
+    "chain-bound-bool": (chain_text(bounds=[[False, 100.0]]), EVAL_CHAIN),
     "chain-repay-without-position": (chain_call({"op": "collateralized_repay", "pool": "lending"}),
                                      EVAL_CHAIN),
     # these exited 2 already, but no test reached their checks
@@ -144,6 +154,12 @@ MESSAGES = {
     "scenario-balance-nan": "error: balance of adversary/ETH must be finite, got nan\n",
     "market-reserve-nan": "error: pool 'exchange_a': uY must be finite, got nan\n",
     "market-fee-nan": "error: pool 'exchange_a': fee must be finite, got nan\n",
+    "scenario-field-huge-integer": "error: pool 'amm': uY must be finite, got inf\n",
+    "scenario-field-bool": "error: pool 'amm': uX must be a number, got bool\n",
+    "scenario-field-numeric-string": "error: pool 'amm': uX must be a number, got str\n",
+    "market-fee-bool": "error: pool 'exchange_a': fee must be a number, got bool\n",
+    "prices-bool": "error: price of 'ETH' must be a number, got bool\n",
+    "chain-bound-bool": "error: bounds of p1 must be a number, got bool\n",
 }
 
 
@@ -254,6 +270,7 @@ UNUSABLE_OPTIONS = {
     "sigma-negative": [*ATOMICITY, "--sigma", "-1"],
     "stream-size-negative": [*ATOMICITY, "--stream-size", "-1"],
     "amount-scale-overflow": [*ATOMICITY, "--amount-scale", "1e308"],
+    "bootstrap-samples-0": [*ATOMICITY, "--trials", "1", "--bootstrap-samples", "0"],
     "bound-without-range": [*OPTIMIZE_PAA, "--bound", "p2"],
     "bound-not-a-parameter": [*OPTIMIZE_PAA, "--bound", "q1:0:1"],
     "bound-p0": [*OPTIMIZE_PAA, "--bound", "p0:0:1"],
@@ -595,7 +612,7 @@ class Spy:
         if name == "numpy" and not seen:
             seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 sys.meta_path.insert(0, Spy())
-import flashsim
+import flashsim.vectors
 print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
 """
 
@@ -614,6 +631,11 @@ class TestSpawnedCli:
         res = spawn(["-c", SPY_ON_NUMPY], **({} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}))
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == [expected, expected]
+
+    def test_bare_package_import_loads_neither_numpy_nor_scipy(self):
+        res = spawn(["-c", "import sys, flashsim; print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
 
     def test_optimize_paa_matches_golden(self):
         res = spawn(["-m", "flashsim.cli", "--format", "structured", "optimize",

@@ -31,7 +31,7 @@ from flashsim.models import (
     flash_repay,
     margin_short,
     reserve_convert_x_to_y,
-    reserve_price_y,
+    reserve_quote,
     sell_x_for_y_fixed,
 )
 from flashsim.scenario import builtin_scenario
@@ -254,15 +254,15 @@ class TestPriceReserve:
         self.state = state_with({"res": RESERVE}, {(A, "ETH"): 1000.0})
 
     def test_quote_at_initial_inventory(self):
-        assert reserve_price_y(self.state, "res") == pytest.approx(0.0037085, abs=1e-6)
+        assert reserve_quote(self.state.pools["res"]) == pytest.approx(0.0037085, abs=1e-6)
 
     def test_quote_at_zero_inventory(self):
         state = state_with({"res": dataclasses.replace(RESERVE, inventory_x=0.0)})
-        assert reserve_price_y(state, "res") == 0.0037
+        assert reserve_quote(state.pools["res"]) == 0.0037
 
     def test_quote_above_cap_not_clamped(self):
         state = state_with({"res": dataclasses.replace(RESERVE, inventory_x=1e4)})
-        assert reserve_price_y(state, "res") > RESERVE.max_price
+        assert reserve_quote(state.pools["res"]) > RESERVE.max_price
 
     def test_conversion_output_and_rate(self):
         after, _ = reserve_convert_x_to_y(self.state, "res", A, 360.0)
@@ -276,7 +276,7 @@ class TestPriceReserve:
 
     def test_price_cap_residual_near_boundary(self):
         after, residuals = reserve_convert_x_to_y(self.state, "res", A, 546.80)
-        assert reserve_price_y(after, "res") == pytest.approx(0.014710380503148955, rel=1e-12)
+        assert reserve_quote(after.pools["res"]) == pytest.approx(0.014710380503148955, rel=1e-12)
         cap = [r for r in residuals if r.name == "price_cap"][0]
         assert cap.value == pytest.approx(8.961949685104553e-05, rel=1e-9)
         assert cap.value > 0
@@ -288,7 +288,7 @@ def test_reserve_price_and_output_monotone(h, bump):
     state = state_with({"res": RESERVE})
     small_state, _ = reserve_convert_x_to_y(state, "res", A, h)
     large_state, _ = reserve_convert_x_to_y(state, "res", A, h + bump)
-    assert reserve_price_y(large_state, "res") > reserve_price_y(small_state, "res")
+    assert reserve_quote(large_state.pools["res"]) > reserve_quote(small_state.pools["res"])
     small, large = small_state.balance(A, "sUSD"), large_state.balance(A, "sUSD")
     assert large > small
     # decreasing marginal rate: the second tranche converts worse than the first

@@ -22,7 +22,6 @@ from flashsim.vectors import (
     describe,
     evaluate,
     format_binding,
-    list_constraints,
     parse_binding,
     parse_vector,
     with_bounds,
@@ -141,21 +140,16 @@ class TestEvaluate:
 
 class TestBuiltins:
     def test_paa_constraint_census(self, paa):
-        rows = list_constraints(paa)
-        assert len(rows) == 6
-        assert sum(r["linear"] for r in rows) == 5
-        assert [r["name"] for r in rows if not r["linear"]] == ["repay"]
+        specs = paa.constraints
+        assert len(specs) == 6
+        assert sum(c.linear for c in specs) == 5
+        assert [c.name for c in specs if not c.linear] == ["repay"]
 
     def test_oracle_constraint_census(self, oracle):
-        rows = list_constraints(oracle)
-        assert len(rows) == 7
-        assert sum(r["linear"] for r in rows) == 5
-        assert {r["name"] for r in rows if not r["linear"]} == {"maxP", "zY"}
-
-    def test_empty_vector_lists_nothing(self):
-        empty = AttackVector("noop", (), 1, ((0.0, 1.0),), "adversary", "ETH",
-                             "nothing", (), objective=lambda p: 0.0)
-        assert list_constraints(empty) == []
+        specs = oracle.constraints
+        assert len(specs) == 7
+        assert sum(c.linear for c in specs) == 5
+        assert {c.name for c in specs if not c.linear} == {"maxP", "zY"}
 
     def test_linearity_flags_match_numerical_probes(self, paa):
         pts = RNG.uniform(0.0, 2000.0, size=(3, 2))
@@ -255,10 +249,10 @@ class TestDescription:
 
     def test_parsed_vector_probes_linearity(self, oracle, oracle_state):
         parsed = parse_vector(describe(oracle), oracle_state)
-        rows = {r["name"]: r for r in list_constraints(parsed)}
-        assert rows["s1_loan_liquidity"]["linear"]
-        assert not rows["s3_price_cap"]["linear"]
-        assert not rows["s5_debt_liquidity"]["linear"]
+        linear = {c.name: c.linear for c in parsed.constraints}
+        assert linear["s1_loan_liquidity"]
+        assert not linear["s3_price_cap"]
+        assert not linear["s5_debt_liquidity"]
 
     def test_one_replay_per_point(self, paa_state, monkeypatch):
         replays = []
