@@ -68,8 +68,7 @@ class AddressMap:
 
     @staticmethod
     def bundled() -> "AddressMap":
-        text = resources.files("flashsim.data").joinpath("contract_projects.csv").read_text()
-        return AddressMap.from_lines(text.splitlines())
+        return AddressMap.from_file(resources.files("flashsim.data").joinpath("contract_projects.csv"))
 
     def project(self, address: str) -> str:
         return self.entries.get(_normalize_address(address), UNKNOWN)
@@ -274,9 +273,10 @@ def tabulate(
 ) -> tuple[UsageTable, list[str]]:
     """Usage table and parse errors of JSONL text, CHUNK_LINES lines at a time.
 
-    `lines` are a text stream's lines.  Each is cut with `str.splitlines()`,
-    so the numbered lines are exactly those of `text.splitlines()` on the
-    whole text, and memory holds one chunk's records besides the tally.
+    `lines` are the lines `scenario.decoded_lines` yields.  Each is cut with
+    `str.splitlines()`, so the numbered lines are exactly those of
+    `text.splitlines()` on the whole text, and memory holds one chunk's
+    records besides the tally.
     """
     tally, parse_errors, first = UsageTally(), [], 1
     for chunk in _chunks(lines):

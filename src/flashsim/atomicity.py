@@ -317,8 +317,8 @@ def bootstrap_mean_ci(
 
     The resamples are drawn a block of rows at a time, about BOOTSTRAP_BLOCK
     indices each and at least one row; the generator yields the same
-    indices as one `(n_resamples, n)` draw, so memory holds one block
-    whatever the sample and resample counts.
+    indices as one `(n_resamples, n)` draw, so memory holds one block and
+    the resample means, 8 bytes each, whatever the sample count.
     """
     if n_resamples < 1:
         raise ConfigError(f"need at least one bootstrap resample, got {n_resamples}")
@@ -329,7 +329,7 @@ def bootstrap_mean_ci(
     for first in range(0, n_resamples, rows):
         last = min(first + rows, n_resamples)
         means[first:last] = samples[rng.integers(0, n, size=(last - first, n))].mean(axis=1)
-    low, high = np.percentile(means, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    low, high = np.percentile(means, [100 * alpha / 2, 100 * (1 - alpha / 2)], overwrite_input=True)
     return float(low), float(high)
 
 

@@ -16,7 +16,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -25,7 +24,7 @@ import scipy
 from . import __version__, analytics, atomicity
 from .models import ConfigError
 from .optimize import FEASIBILITY_TOL, OptimizationResult, SolverConfig, grid_oracle, problem, solve
-from .scenario import BUILTIN_SCENARIOS, builtin_scenario, load_scenario, read_json, undecodable_line
+from .scenario import BUILTIN_SCENARIOS, builtin_scenario, decoded_lines, load_scenario, read_json
 from .vectors import BUILTIN_VECTORS, AttackVector, EvaluationError, describe, evaluate, parse_vector, with_bounds
 
 AGREEMENT_THRESHOLD = 0.02
@@ -335,34 +334,16 @@ def classify_cmd(obj, input_file, map_file, prices_file):
     """Aggregate flash-loan records by the platform sets they touch."""
     addr_map = analytics.AddressMap.from_file(map_file) if map_file else analytics.AddressMap.bundled()
     prices = analytics.PriceTable.from_file(prices_file) if prices_file else analytics.PriceTable.default()
-    digest, lines_read = hashlib.sha256(), 0
-
-    def hashed(lines: Iterable[str]) -> Iterator[str]:
-        """`lines` as they are, each fed to `digest` as UTF-8 and counted on the way."""
-        nonlocal lines_read
-        for line in lines:
-            digest.update(line.encode())
-            lines_read += 1
-            yield line
-
-    try:
-        # opened as Path.read_text opens a file; stdin is read as it is and left open
-        with nullcontext(sys.stdin) if input_file == "-" else open(input_file) as stream:
-            table, parse_errors = analytics.tabulate(hashed(stream), addr_map, prices)
-    except UnicodeError as exc:
-        # A stdin that escapes bad bytes as lone surrogates fails at the digest instead.
-        bad = exc.object[exc.start:exc.end]
-        if isinstance(bad, str):
-            bad = bad.encode(exc.encoding, "surrogateescape")
-        if input_file == "-":
-            # The text layer decodes a read chunk ahead of the lines it has handed
-            # out, so count on from them through the line ends the chunk has first.
-            ahead = exc.object[:exc.start].count(b"\n") if isinstance(exc.object, bytes) else 0
-            where = f"line {lines_read + 1 + ahead}"
-        else:
-            with open(input_file, "rb") as raw:
-                where = f"line {undecodable_line(raw, exc.encoding)}"
-        raise ConfigError(f"input {input_file}: {where}: can't decode {bad!r} as {exc.encoding}") from None
+    if input_file != "-":
+        stream, encoding = open(input_file, "rb"), None
+    elif sys.stdin is None:
+        raise ConfigError("input -: stdin is closed")
+    else:  # read as it is and left open
+        stream, encoding = nullcontext(sys.stdin.buffer), sys.stdin.encoding
+    digest = hashlib.sha256()
+    with stream as raw:
+        table, parse_errors = analytics.tabulate(decoded_lines(raw, input_file, "input", digest, encoding),
+                                                 addr_map, prices)
     config_echo = {"input": input_file, "map": map_file, "prices": prices_file}
     results = {
         "rows": [r.as_dict() for r in table.rows],

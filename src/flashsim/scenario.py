@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import codecs
 import hashlib
-import io
 import json
+import locale
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, BinaryIO, Iterator
 
 from .models import (
     AutomatedPriceReserve,
@@ -144,19 +144,33 @@ def scenario_from_dict(doc: dict) -> WorldState:
     return WorldState(balances, pools)
 
 
-def read_text(source: str | Path, what: str) -> tuple[str, str]:
-    """The text of a file (or package resource) and the sha256 of its bytes, read once.
+def decoded_lines(stream: BinaryIO, source: Any, what: str, digest: Any,
+                  encoding: str | None = None) -> Iterator[str]:
+    """The lines of a binary stream, split at b"\\n", each fed to `digest` and decoded.
 
-    The bytes are decoded as `Path.read_text` decodes them; undecodable bytes
-    raise a ConfigError naming `what`, the file and the line.
+    The one place input bytes are decoded: in `encoding`, by default the
+    locale's as `open` uses; bytes that do not decode raise a ConfigError
+    naming `what`, `source` and the line.
     """
-    raw = (Path(source) if isinstance(source, str) else source).read_bytes()
+    decoder = codecs.getincrementaldecoder(encoding or locale.getpreferredencoding(False))()
+    number = 0
     try:
-        text = io.TextIOWrapper(io.BytesIO(raw)).read()
+        for number, line in enumerate(stream, 1):
+            digest.update(line)
+            yield decoder.decode(line)
+        decoder.decode(b"", final=True)  # the last line's end may cut a character short
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {source}: line {undecodable_line(io.BytesIO(raw), exc.encoding)}: "
-                          f"can't decode {exc.object[exc.start:exc.end]!r} as {exc.encoding}") from None
-    return text, hashlib.sha256(raw).hexdigest()
+        raise ConfigError(f"{what} {source}: line {number}: can't decode "
+                          f"{exc.object[exc.start:exc.end]!r} as {exc.encoding}") from None
+
+
+def read_text(source: str | Path, what: str) -> tuple[str, str]:
+    """The text of a file (or package resource) and the sha256 of its bytes, read once
+    by `decoded_lines`; line ends are translated as `Path.read_text` translates them."""
+    digest = hashlib.sha256()
+    with (Path(source) if isinstance(source, str) else source).open("rb") as stream:
+        text = "".join(decoded_lines(stream, source, what, digest))
+    return text.replace("\r\n", "\n").replace("\r", "\n"), digest.hexdigest()
 
 
 def read_json(source: str | Path, what: str) -> tuple[Any, str]:
@@ -167,20 +181,6 @@ def read_json(source: str | Path, what: str) -> tuple[Any, str]:
         return json.loads(text), digest
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {source}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-
-
-def undecodable_line(lines: Iterable[bytes], encoding: str) -> int:
-    """Number of the first of `lines` (a binary file's, split at b"\\n") that does not decode.
-
-    A decoder's error position counts from its read chunk, not from the file.
-    """
-    decoder, number = codecs.getincrementaldecoder(encoding)(), 0
-    for number, line in enumerate(lines, 1):
-        try:
-            decoder.decode(line)
-        except UnicodeDecodeError:
-            break
-    return number  # or the last line, whose end cuts a character short
 
 
 def load_scenario(path: str | Path) -> tuple[WorldState, str]:

@@ -437,3 +437,14 @@ def test_bootstrap_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20  # one (1000, 5000) draw and its gather take 80 MB
+
+
+def test_bootstrap_memory_beyond_the_block_is_the_resample_means():
+    n_resamples = 1_000_000  # 8 MB of means against a 0.5 MB block
+    tracemalloc.start()
+    try:
+        bootstrap_mean_ci(np.arange(10.0), np.random.default_rng(1), n_resamples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n_resamples  # the percentile once took a copy of the means

@@ -115,6 +115,8 @@ MALFORMED = {
     "trace-three-fields": ("1,a,XY\n", REPLAY),  # exited 2 already, but untested
     # undecodable text files, once named by the codec's chunk offset alone
     "trace-undecodable": (b"1,a,XY,1\n1,b,\xff,2\n", REPLAY),
+    "trace-truncated-character": (b"1,a,XY,1\n1,b,XY,2\xe2\x82", REPLAY),
+    "loans-truncated-character": (b'{"tx": "0x1"}\n\xe2\x82', ["classify", "--input", "FILE"]),
     "prices-list": ("[]", ["classify", "--prices", "FILE"]),
     "map-bad-address": ("0x12,Foo\n", ["classify", "--map", "FILE"]),
     "map-undecodable": (b"0x12\xff,Foo\n", ["classify", "--map", "FILE"]),
@@ -149,6 +151,8 @@ MALFORMED = {
 MESSAGES = {
     "trace-undecodable": "error: trace FILE: line 2: can't decode b'\\xff' as utf-8\n",
     "map-undecodable": "error: address map FILE: line 1: can't decode b'\\xff' as utf-8\n",
+    "trace-truncated-character": "error: trace FILE: line 2: can't decode b'\\xe2\\x82' as utf-8\n",
+    "loans-truncated-character": "error: input FILE: line 2: can't decode b'\\xe2\\x82' as utf-8\n",
     "scenario-field-nan": "error: pool 'flash': vX must be finite, got nan\n",
     "scenario-field-infinite": "error: pool 'amm': uY must be finite, got inf\n",
     "scenario-balance-nan": "error: balance of adversary/ETH must be finite, got nan\n",
@@ -175,8 +179,9 @@ def test_malformed_input_file_exits_2_with_one_error_line(runner, tmp_path, case
 
 @pytest.mark.parametrize("content, error", [
     (b'{\n  "a": [,]\n}', "invalid JSON at line 2: Expecting value"),
+    (b'{\r  "a": [,]\r}', "invalid JSON at line 2: Expecting value"),
     (b'{\n  "a": "\xff"\n}', "line 2: can't decode b'\\xff' as utf-8"),
-], ids=["bad-json", "undecodable"])
+], ids=["bad-json", "bad-json-cr-only", "undecodable"])
 @pytest.mark.parametrize("what, argv", [
     ("scenario", EVAL_SCENARIO), ("vector", EVAL_CHAIN), ("market", MARKET),
     ("price file", ["classify", "--prices", "FILE"]),
@@ -214,11 +219,14 @@ def test_each_input_file_is_read_once(runner, tmp_path, monkeypatch, argv, sourc
 
 
 def test_reports_hash_the_bytes_of_each_input_file(runner, tmp_path):
-    scenario, market = tmp_path / "scenario.json", tmp_path / "market.json"
+    scenario, market, loans = tmp_path / "scenario.json", tmp_path / "market.json", tmp_path / "loans.jsonl"
     scenario.write_bytes((DATA / "pump_arbitrage.json").read_bytes() + b"\n\n")
     market.write_bytes((GOLDEN / "market.json").read_bytes())
-    for path, argv in ((scenario, EVAL_SCENARIO), (market, MARKET)):
-        res = runner.invoke(main, ["--format", "structured", *(str(path) if a == "FILE" else a for a in argv)])
+    loans.write_bytes(LOAN_LINE.replace("\n", "\r\n").encode() * 3)  # a file once hashed as translated text
+    for path, argv, stdin in ((scenario, EVAL_SCENARIO, None), (market, MARKET, None),
+                              (loans, ["classify", "--input", "FILE"], None), (loans, ["classify"], loans.read_bytes())):
+        res = runner.invoke(main, ["--format", "structured", *(str(path) if a == "FILE" else a for a in argv)],
+                            input=stdin)
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["scenario_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -582,6 +590,13 @@ def test_undecodable_classify_stdin_names_the_line(runner, tmp_path):
         assert spawned.stderr == "error: input -: line 3001: can't decode b'\\xff' as utf-8\n"
 
 
+def test_closed_stdin_exits_2():
+    # with fd 0 closed, sys.stdin is None: classify ended in a TypeError traceback with exit 1
+    res = spawn(["-m", "flashsim.cli", "classify"], preexec_fn=lambda: os.close(0))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: input -: stdin is closed\n"
+
+
 class TestDescribe:
     def test_matches_golden(self, runner):
         res = runner.invoke(main, ["describe", "--scenario", "pump_arbitrage",
@@ -617,12 +632,12 @@ print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
 """
 
 
-def spawn(args, stdin=None, **env):
+def spawn(args, stdin=None, preexec_fn=None, **env):
     """`python <args>` in a fresh interpreter, with the package uninstalled on PYTHONPATH."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**environ, **env}, cwd=ROOT, stdin=stdin,
-                          capture_output=True, text=True, timeout=600)
+                          preexec_fn=preexec_fn, capture_output=True, text=True, timeout=600)
 
 
 class TestSpawnedCli:
