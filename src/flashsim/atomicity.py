@@ -129,14 +129,20 @@ def non_atomic_arbitrage(
     market: TwoExchangeMarket, budget: float, stream: Sequence[TradeEvent], i: int
 ) -> ArbOutcome:
     """Same two legs, but `i` stream events execute between them."""
-    if i < 0:
-        raise ConfigError(f"intermediary count must be >= 0, got {i}")
-    if len(stream) < i:
-        raise ValueError(
-            f"stream exhausted: need {i} events, have {len(stream)} (short by {i - len(stream)})"
-        )
+    _check_counts([i], len(stream))
     aarb, naarb, hv, difference = _replay(market, budget, [_event_block(stream[:i])], [i])
     return ArbOutcome(aarb, float(naarb[0, 0]), float(hv[0, 0]), float(difference[0, 0]), i)
+
+
+def _check_counts(i_values: Sequence[int], have: int) -> int:
+    """The largest of `i_values`, once a stream of `have` events covers it and none is negative."""
+    needed = max(i_values, default=0)
+    if have < needed:
+        raise ValueError(f"stream exhausted: need {needed} events, have {have} (short by {needed - have})")
+    for i in i_values:
+        if i < 0:
+            raise ConfigError(f"intermediary count must be >= 0, got {i}")
+    return needed
 
 
 def _fill(buffer: _Block, lanes: Iterable[tuple[np.ndarray, np.ndarray]]) -> _Block:
@@ -339,9 +345,8 @@ def sweep(
     stream: SyntheticStream | ReplayStream,
     i_values: Sequence[int],
     trials: int,
-    bootstrap_samples: int = 1000,
 ) -> list[SweepRow]:
-    """Mean and 95% bootstrap CI of the profit difference per intermediary count.
+    """Mean and 95% bootstrap CI (1,000 resamples) of the profit difference per intermediary count.
 
     Each trial replays one stream; all i-values share a trial's stream so
     the profit difference accumulates along a common path.  Trials run as
@@ -350,19 +355,9 @@ def sweep(
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
-    if bootstrap_samples < 1:
-        raise ConfigError(f"need at least one bootstrap resample, got {bootstrap_samples}")
     i_values = list(i_values)
-    needed = max(i_values, default=0)
     replay = isinstance(stream, ReplayStream)
-    have = len(stream.trace) if replay else stream.size
-    if have < needed:
-        raise ValueError(
-            f"stream exhausted: need {needed} events, have {have} (short by {needed - have})"
-        )
-    for i in i_values:
-        if i < 0:
-            raise ConfigError(f"intermediary count must be >= 0, got {i}")
+    needed = _check_counts(i_values, len(stream.trace) if replay else stream.size)
     counts = sorted(set(i_values))
     if replay:  # every trial replays the identical sequence: one lane stands for all
         *_, differences = _replay(market, budget, [_event_block(stream.trace[:needed])], counts)
@@ -376,6 +371,6 @@ def sweep(
             low = high = float(samples[0])
         else:
             rng = np.random.default_rng((24181, i))
-            low, high = bootstrap_mean_ci(samples, rng, bootstrap_samples)
+            low, high = bootstrap_mean_ci(samples, rng)
         rows.append(SweepRow(i, float(samples.mean()), low, high, trials))
     return rows

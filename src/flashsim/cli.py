@@ -148,19 +148,14 @@ def _command(name: str):
 @click.option("--ignore-constraint", "ignored", multiple=True, help="Constraint name to drop from the solve.")
 @click.option("--bound", "bound_overrides", multiple=True, help="Parameter bound override pN:LOW:HIGH.")
 @click.option("--zy-cap", is_flag=True, help="Clamp the oracle vector's drawn amount to lender liquidity.")
-@click.option("--max-iter", default=200, show_default=True)
-@click.option("--tol", default=1e-9, show_default=True)
-@click.option("--fd-step", default=1e-4, show_default=True)
 @click.option("--starts", default=16, show_default=True)
 @click.option("--grid-res", default=0, help="Grid oracle resolution (0 = auto by dimension).")
-def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, max_iter,
-             tol, fd_step, starts, grid_res):
+def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, starts, grid_res):
     """Solve for profit-maximizing parameters, certified by the grid oracle."""
     state, scenario_hash = _resolve_scenario(scenario)
     vector = with_bounds(_resolve_vector(vector_name, state, zy_cap),
                          dict(_parse_bound(b) for b in bound_overrides))
-    config = SolverConfig(max_iterations=max_iter, tolerance=tol, fd_step=fd_step,
-                          starts=starts, seed=obj["seed"])
+    config = SolverConfig(starts=starts, seed=obj["seed"])
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
     if vector.n_params <= 3 and resolution < 2:  # the grid's own check, before any work
         raise ConfigError("grid resolution must be at least 2")
@@ -196,9 +191,7 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, max_i
 
     config_echo = {
         "scenario": scenario, "vector": vector_name, "ignore": sorted(ignored),
-        "bounds": sorted(bound_overrides), "zy_cap": zy_cap,
-        "max_iter": max_iter, "tol": tol, "fd_step": fd_step, "starts": starts,
-        "grid_res": resolution,
+        "bounds": sorted(bound_overrides), "zy_cap": zy_cap, "starts": starts, "grid_res": resolution,
     }
     results = {
         "solver": best.as_dict(),
@@ -291,9 +284,8 @@ def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
 @click.option("--stream-size", default=0, help="Synthetic stream length (default: max of --i-values).")
 @click.option("--amount-scale", default=1.0, show_default=True)
 @click.option("--sigma", default=1.0, show_default=True)
-@click.option("--bootstrap-samples", default=1000, show_default=True)
 def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file,
-                  stream_size, amount_scale, sigma, bootstrap_samples):
+                  stream_size, amount_scale, sigma):
     """Sweep the arbitrage profit difference over intermediary counts."""
     market, market_hash = atomicity.load_market(market_file)
     counts = [int(v) for v in i_values.split(",") if v.strip() != ""]
@@ -304,13 +296,11 @@ def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file,
             seed=obj["seed"], size=stream_size or max(counts, default=0),
             amount_scale=amount_scale, sigma=sigma,
         )
-    rows = atomicity.sweep(market, budget, stream, counts, trials,
-                           bootstrap_samples=bootstrap_samples)
+    rows = atomicity.sweep(market, budget, stream, counts, trials)
 
     config_echo = {"market": market_file, "budget": budget, "i_values": counts,
                    "trials": trials, "replay": replay_file, "stream_size": stream_size,
-                   "amount_scale": amount_scale, "sigma": sigma,
-                   "bootstrap_samples": bootstrap_samples}
+                   "amount_scale": amount_scale, "sigma": sigma}
     results = {"rows": [r.as_dict() for r in rows]}
 
     lines = ["command: atomicity", f"market: {market_file} (sha256 {market_hash[:12]})",

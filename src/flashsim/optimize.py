@@ -34,27 +34,21 @@ from .models import ConfigError, WorldState
 from .vectors import AttackVector, ConstraintSpec, EvaluationError, closed_form_objective
 
 FEASIBILITY_TOL = 1e-6
+MAX_ITERATIONS = 200  # SLSQP's iteration cap per start
+TOLERANCE = 1e-9  # SLSQP's accuracy goal
+FD_STEP = 1e-4  # central-difference step of the objective gradient only
 GRID_BLOCK = 4096  # mesh points per grid oracle call
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)  # SciPy's absolute step for SLSQP's constraint Jacobian
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """`fd_step` is only the central-difference step of the objective gradient:
-    the constraint Jacobian is SciPy's own forward 2-point difference for
-    SLSQP, with a step of about 1.5e-8, clipped to the bounds."""
-
-    max_iterations: int = 200
-    tolerance: float = 1e-9
-    fd_step: float = 1e-4
     starts: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1 or self.max_iterations < 1:
-            raise ConfigError(f"starts and max_iterations must be >= 1, got {self.starts}, {self.max_iterations}")
-        if not (0 < self.tolerance < np.inf and 0 < self.fd_step < np.inf):
-            raise ConfigError(f"tolerance and fd_step must be finite and > 0, got {self.tolerance}, {self.fd_step}")
+        if self.starts < 1:
+            raise ConfigError(f"starts must be >= 1, got {self.starts}")
 
 
 @dataclass(frozen=True)
@@ -182,12 +176,11 @@ def finite_diff_gradient(
 class _Lane:
     """One start's SLSQP state and workspace, laid out as SciPy's `_minimize_slsqp` lays them out."""
 
-    def __init__(self, x0: np.ndarray, m: int, config: SolverConfig):
+    def __init__(self, x0: np.ndarray, m: int):
         n = len(x0)
-        acc = config.tolerance
-        self.state = {"acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
-                      "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * acc, "exact": 0, "inconsistent": 0,
-                      "reset": 0, "iter": 0, "itermax": int(config.max_iterations), "line": 0, "m": m,
+        self.state = {"acc": TOLERANCE, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+                      "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * TOLERANCE, "exact": 0, "inconsistent": 0,
+                      "reset": 0, "iter": 0, "itermax": MAX_ITERATIONS, "line": 0, "m": m,
                       "meq": 0, "mode": 0, "n": n}
         size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
         self.buffer = np.zeros(size)
@@ -212,8 +205,7 @@ def _surviving(lanes: list[_Lane], evaluate) -> list:
     return []
 
 
-def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray,
-                    config: SolverConfig) -> list[tuple[np.ndarray, int]]:
+def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list[tuple[np.ndarray, int]]:
     """(end point, iterations) of SciPy's SLSQP from each start whose evaluations all succeed.
 
     Every start is a lane of SciPy's reverse-communication core, which `minimize` loops over
@@ -253,7 +245,7 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray,
                 np.clip(lane.x, xl, xu), lane.at)], residuals_at):
             lane.at, lane.r = x, r
         gradients = _surviving([lane for lane in lanes if not lane.failed], lambda kept: -_central_difference(
-            objective, np.array([lane.x for lane in kept]), config.fd_step))
+            objective, np.array([lane.x for lane in kept]), FD_STEP))
         jacobians = _surviving([lane for lane, _ in gradients], lambda kept: _forward_jacobian(
             residuals, np.array([lane.x for lane in kept]), xl, xu, np.array([lane.r for lane in kept])))
         for lane, g in gradients:
@@ -261,7 +253,7 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray,
         for lane, jacobian in jacobians:
             lane.C[:m] = jacobian
 
-    lanes = [_Lane(x0.copy(), m, config) for x0 in np.clip(starts[:, free], xl, xu)]
+    lanes = [_Lane(x0.copy(), m) for x0 in np.clip(starts[:, free], xl, xu)]
     ask_f(lanes)
     ask_g([lane for lane in lanes if not lane.failed])
     running = [lane for lane in lanes if not lane.failed]
@@ -298,7 +290,7 @@ def solve(
     starts = latin_hypercube(config.starts, vector.bounds, config.seed)
     free = lo < hi
     # with every parameter fixed, each start ends where SciPy leaves it: at the lower corner
-    solved = _lockstep_slsqp(prob, starts, free, config) if free.any() else [(lo, 0)] * len(starts)
+    solved = _lockstep_slsqp(prob, starts, free) if free.any() else [(lo, 0)] * len(starts)
     ends = []  # (objective, params, min residual) of each start that ends at a finite objective
     if solved:
         x = np.clip(np.array([end for end, _ in solved]), lo, hi)

@@ -326,8 +326,7 @@ class TestLockstepSweep:
         block_bytes = steps * atomicity._LANES * (1 + 8)  # a row code and an amount
         tracemalloc.start()
         try:
-            sweep(market(), 2.0, SyntheticStream(seed=3, size=steps), [0, steps], trials,
-                  bootstrap_samples=100)
+            sweep(market(), 2.0, SyntheticStream(seed=3, size=steps), [0, steps], trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -65,15 +65,16 @@ def chain_call(call: dict) -> str:
     return chain_text(steps=[{"label": "only", "calls": [call]}])
 
 
-def oracle_chain_text() -> str:
-    """The built-in oracle chain as a description file, with its borrow quoted off state 9."""
+def oracle_chain_text(step: int) -> str:
+    """The built-in oracle chain as a description file, with its borrow quoted off state `step`."""
     vector = build_oracle_vector(builtin_scenario("oracle_manipulation")[0])
-    return json.dumps(describe(vector)).replace("collateral_rate:amm@2", "collateral_rate:amm@9")
+    return json.dumps(describe(vector)).replace("collateral_rate:amm@2", f"collateral_rate:amm@{step}")
 
 
 EVAL_SCENARIO = ["evaluate", "--scenario", "FILE", "--vector", "paa", "5500", "1300"]
 EVAL_ORACLE_SCENARIO = ["evaluate", "--scenario", "FILE", "--vector", "oracle", "540", "360", "3517.86"]
 EVAL_CHAIN = ["evaluate", "--scenario", "pump_arbitrage", "--vector", "FILE", "1"]
+EVAL_ORACLE_CHAIN = ["evaluate", "--scenario", "oracle_manipulation", "--vector", "FILE", "540", "360", "3517.86"]
 MARKET = ["atomicity", "--market", "FILE", "--budget", "2", "--i-values", "0,1", "--trials", "2"]
 REPLAY = ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "2",
           "--i-values", "0,1", "--trials", "2", "--replay", "FILE"]
@@ -142,8 +143,11 @@ MALFORMED = {
                                      EVAL_CHAIN),
     # these exited 2 already, but no test reached their checks
     "chain-flash-loan-from-amm": (chain_call({"op": "flash_loan", "pool": "amm", "amount": "p1"}), EVAL_CHAIN),
-    "chain-rate-from-future-state": (oracle_chain_text(), ["evaluate", "--scenario", "oracle_manipulation",
-                                                           "--vector", "FILE", "540", "360", "3517.86"]),
+    "chain-rate-from-future-state": (oracle_chain_text(9), EVAL_ORACLE_CHAIN),
+    # a negative step was read by Python's negative indexing: a traceback, or exit 0
+    # with the rate of the state entering the step
+    "chain-rate-from-negative-state": (oracle_chain_text(-100), EVAL_ORACLE_CHAIN),
+    "chain-rate-from-last-state": (oracle_chain_text(-1), EVAL_ORACLE_CHAIN),
 }
 
 
@@ -164,6 +168,7 @@ MESSAGES = {
     "market-fee-bool": "error: pool 'exchange_a': fee must be a number, got bool\n",
     "prices-bool": "error: price of 'ETH' must be a number, got bool\n",
     "chain-bound-bool": "error: bounds of p1 must be a number, got bool\n",
+    "chain-rate-from-last-state": "error: binding 'collateral_rate:amm@-1' reads a negative step\n",
 }
 
 
@@ -268,17 +273,12 @@ ATOMICITY = ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "
 UNUSABLE_OPTIONS = {
     "starts-zero": [*OPTIMIZE_PAA, "--starts", "0"],
     "starts-negative": [*OPTIMIZE_PAA, "--starts", "-2"],
-    "max-iter-zero": [*OPTIMIZE_PAA, "--max-iter", "0"],
-    "fd-step-nan": [*OPTIMIZE_PAA, "--fd-step", "nan"],
-    "fd-step-inf": [*OPTIMIZE_PAA, "--fd-step", "inf"],
-    "tol-nan": [*OPTIMIZE_PAA, "--tol", "nan"],
     "amount-scale-nan": [*ATOMICITY, "--amount-scale", "nan"],
     "amount-scale-negative": [*ATOMICITY, "--amount-scale", "-1"],
     "sigma-nan": [*ATOMICITY, "--sigma", "nan"],
     "sigma-negative": [*ATOMICITY, "--sigma", "-1"],
     "stream-size-negative": [*ATOMICITY, "--stream-size", "-1"],
     "amount-scale-overflow": [*ATOMICITY, "--amount-scale", "1e308"],
-    "bootstrap-samples-0": [*ATOMICITY, "--trials", "1", "--bootstrap-samples", "0"],
     "bound-without-range": [*OPTIMIZE_PAA, "--bound", "p2"],
     "bound-not-a-parameter": [*OPTIMIZE_PAA, "--bound", "q1:0:1"],
     "bound-p0": [*OPTIMIZE_PAA, "--bound", "p0:0:1"],
@@ -289,6 +289,19 @@ UNUSABLE_OPTIONS = {
 @pytest.mark.parametrize("argv", UNUSABLE_OPTIONS.values(), ids=UNUSABLE_OPTIONS.keys())
 def test_unusable_option_exits_2_with_one_error_line(runner, argv):
     assert_unusable_input(runner.invoke(main, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [*OPTIMIZE_PAA, "--max-iter", "200"],
+    [*OPTIMIZE_PAA, "--tol", "1e-9"],
+    [*OPTIMIZE_PAA, "--fd-step", "1e-4"],
+    [*ATOMICITY, "--bootstrap-samples", "1000"],
+], ids=["max-iter", "tol", "fd-step", "bootstrap-samples"])
+def test_fixed_solver_and_bootstrap_settings_are_not_options(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert f"Error: No such option '{argv[-2]}'" in res.stderr
 
 
 @pytest.mark.parametrize("argv, error", [

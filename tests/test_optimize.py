@@ -15,8 +15,11 @@ from flashsim import vectors
 
 from flashsim.models import ConfigError
 from flashsim.optimize import (
+    FD_STEP,
     FEASIBILITY_TOL,
     GRID_BLOCK,
+    MAX_ITERATIONS,
+    TOLERANCE,
     SolverConfig,
     _central_difference,
     _forward_jacobian,
@@ -99,7 +102,7 @@ def minimize_reference(vector, scenario, config, ignore=()):
     best params, objective and max violation, the iterations and the number of starts skipped."""
     prob = problem(vector, scenario, ignore)
     lo, hi = np.array(vector.bounds, dtype=float).T
-    n, step = len(lo), config.fd_step
+    n, step = len(lo), FD_STEP
 
     def neg_obj(p):
         return -float(prob.objective(p))
@@ -115,7 +118,7 @@ def minimize_reference(vector, scenario, config, ignore=()):
             with warnings.catch_warnings():  # SLSQP may step a few ulps outside the box
                 warnings.filterwarnings("ignore", "Values in x were outside bounds", RuntimeWarning)
                 res = minimize(neg_obj, x0, jac=grad_neg, bounds=prob.bounds, constraints=constraints,
-                               method="SLSQP", options={"maxiter": config.max_iterations, "ftol": config.tolerance})
+                               method="SLSQP", options={"maxiter": MAX_ITERATIONS, "ftol": TOLERANCE})
         except EvaluationError:
             skipped += 1
             continue
