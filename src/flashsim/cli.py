@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__, analytics, atomicity
 from .models import ConfigError
-from .optimize import FEASIBILITY_TOL, OptimizationResult, SolverConfig, grid_oracle, problem, solve
+from .optimize import FEASIBILITY_TOL, OptimizationResult, grid_oracle, problem, solve
 from .scenario import BUILTIN_SCENARIOS, builtin_scenario, decoded_lines, load_scenario, read_json
 from .vectors import BUILTIN_VECTORS, AttackVector, EvaluationError, describe, evaluate, parse_vector, with_bounds
 
@@ -155,13 +155,12 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, start
     state, scenario_hash = _resolve_scenario(scenario)
     vector = with_bounds(_resolve_vector(vector_name, state, zy_cap),
                          dict(_parse_bound(b) for b in bound_overrides))
-    config = SolverConfig(starts=starts, seed=obj["seed"])
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
     if vector.n_params <= 3 and resolution < 2:  # the grid's own check, before any work
         raise ConfigError("grid resolution must be at least 2")
-    best = solve(vector, state, config, ignore=ignored)
-    grid = grid_oracle(vector, state, resolution, ignore=ignored) if vector.n_params <= 3 else None
-    prob = problem(vector, state, ignored)
+    best = solve(vector, ignored, starts, obj["seed"])
+    grid = grid_oracle(vector, resolution, ignored) if vector.n_params <= 3 else None
+    prob = problem(vector, ignored)
 
     rel_gap = None
     disagreement = False

@@ -10,6 +10,9 @@ of their constant term so pools five orders of magnitude apart weigh
 comparably.  :class:`Problem`, built once per solve or scan by
 :func:`problem`, is the single place where residuals are scaled; the
 solver, the grid oracle and the CLI's constraint report read it.
+The solver reads only the vector: an :class:`~flashsim.vectors.AttackVector`
+captures the scenario when it is built or parsed, so solving on another
+scenario means building the vector on it.
 Objectives and constraints take a point or a batch, closed form and replayed
 chain alike: a round's gradients are one call on the 2n stencil rows of
 every start, its constraint Jacobians one call on their n forward steps (the
@@ -30,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.optimize._slsqplib import slsqp as _slsqp  # SciPy's reverse-communication SLSQP core
 
-from .models import ConfigError, WorldState
+from .models import ConfigError
 from .vectors import AttackVector, ConstraintSpec, EvaluationError, closed_form_objective
 
 FEASIBILITY_TOL = 1e-6
@@ -39,16 +42,6 @@ TOLERANCE = 1e-9  # SLSQP's accuracy goal
 FD_STEP = 1e-4  # central-difference step of the objective gradient only
 GRID_BLOCK = 4096  # mesh points per grid oracle call
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)  # SciPy's absolute step for SLSQP's constraint Jacobian
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    starts: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.starts < 1:
-            raise ConfigError(f"starts must be >= 1, got {self.starts}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +92,8 @@ class Problem:
         return np.moveaxis(values, 0, -1) / self.scales
 
 
-def problem(vector: AttackVector, scenario: WorldState, ignore: Iterable[str] = ()) -> Problem:
-    """The solver's view of `vector` on `scenario`, minus the ignored constraints."""
+def problem(vector: AttackVector, ignore: Iterable[str] = ()) -> Problem:
+    """The solver's view of `vector`, minus the ignored constraints."""
     ignored = set(ignore)
     unknown = ignored - {c.name for c in vector.constraints}
     if unknown:
@@ -108,7 +101,7 @@ def problem(vector: AttackVector, scenario: WorldState, ignore: Iterable[str] = 
     constraints = tuple(c for c in vector.constraints if c.name not in ignored)
     corner = np.array([lo for lo, _ in vector.bounds], dtype=float)
     scales = np.array([max(1.0, abs(float(c.fn(corner)))) for c in constraints])
-    return Problem(closed_form_objective(vector, scenario), constraints, scales, vector.bounds)
+    return Problem(closed_form_objective(vector), constraints, scales, vector.bounds)
 
 
 def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
@@ -157,12 +150,7 @@ def _forward_jacobian(f, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, f0: np.n
     return ((values - f0[:, None]) / ((x + h) - x)[:, :, None]).transpose(0, 2, 1)
 
 
-def finite_diff_gradient(
-    vector: AttackVector,
-    scenario: WorldState,
-    params: Sequence[float],
-    step: float,
-) -> np.ndarray:
+def finite_diff_gradient(vector: AttackVector, params: Sequence[float], step: float) -> np.ndarray:
     """Central-difference gradient of the objective at an interior point."""
     params = np.asarray(params, dtype=float)
     for i, ((lo, hi), p) in enumerate(zip(vector.bounds, params)):
@@ -170,7 +158,7 @@ def finite_diff_gradient(
             raise ValueError(
                 f"parameter {i} = {p} not interior to [{lo}, {hi}] by step {step}"
             )
-    return _central_difference(closed_form_objective(vector, scenario), params[None], step)[0]
+    return _central_difference(closed_form_objective(vector), params[None], step)[0]
 
 
 class _Lane:
@@ -266,12 +254,7 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list
     return [(full(lane.x[None])[0], lane.state["iter"]) for lane in lanes if not lane.failed]
 
 
-def solve(
-    vector: AttackVector,
-    scenario: WorldState,
-    config: SolverConfig = SolverConfig(),
-    ignore: Iterable[str] = (),
-) -> OptimizationResult:
+def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, seed: int = 0) -> OptimizationResult:
     """Maximize the vector objective subject to its accumulated constraints.
 
     Multi-start over a seeded Latin hypercube; returns the best feasible
@@ -279,18 +262,20 @@ def solve(
     start lands within the scaled feasibility tolerance.  A start whose
     evaluation fails is skipped; parameters fixed by their bounds stay at them.
     """
+    if starts < 1:
+        raise ConfigError(f"starts must be >= 1, got {starts}")
     if vector.n_params < 1:
         raise ConfigError("vector has no free parameters")
     if any(not np.isfinite([lo, hi]).all() for lo, hi in vector.bounds):
         raise ConfigError("solver needs finite bounds")
 
     started = time.perf_counter()
-    prob = problem(vector, scenario, ignore)
+    prob = problem(vector, ignore)
     lo, hi = np.array(vector.bounds, dtype=float).T
-    starts = latin_hypercube(config.starts, vector.bounds, config.seed)
+    points = latin_hypercube(starts, vector.bounds, seed)
     free = lo < hi
     # with every parameter fixed, each start ends where SciPy leaves it: at the lower corner
-    solved = _lockstep_slsqp(prob, starts, free) if free.any() else [(lo, 0)] * len(starts)
+    solved = _lockstep_slsqp(prob, points, free) if free.any() else [(lo, 0)] * starts
     ends = []  # (objective, params, min residual) of each start that ends at a finite objective
     if solved:
         x = np.clip(np.array([end for end, _ in solved]), lo, hi)
@@ -311,17 +296,12 @@ def solve(
         feasible=bool(feasible),
         iterations=sum(iterations for _, iterations in solved),
         wall_time=elapsed,
-        starts_tried=len(starts),
+        starts_tried=starts,
         method="slsqp",
     )
 
 
-def grid_oracle(
-    vector: AttackVector,
-    scenario: WorldState,
-    resolution: int,
-    ignore: Iterable[str] = (),
-) -> OptimizationResult:
+def grid_oracle(vector: AttackVector, resolution: int, ignore: Iterable[str] = ()) -> OptimizationResult:
     """Exhaustive feasible-box scan plus one refinement pass around the best cell.
 
     Independent of the gradient solver; used to certify its results.  Only
@@ -332,7 +312,7 @@ def grid_oracle(
     if resolution < 2:
         raise ConfigError("grid resolution must be at least 2")
     started = time.perf_counter()
-    prob = problem(vector, scenario, ignore)
+    prob = problem(vector, ignore)
     evaluated = 0
 
     def scan(lo: np.ndarray, hi: np.ndarray) -> tuple[bool, float, np.ndarray, float]:

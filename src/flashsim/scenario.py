@@ -14,6 +14,7 @@ import codecs
 import hashlib
 import json
 import locale
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
@@ -32,12 +33,14 @@ from .models import (
     _require_finite,
     as_number,
     expect_type,
+    reserve_quote,
 )
 
 BUILTIN_SCENARIOS = ("pump_arbitrage", "oracle_manipulation")
 
 
 _SYMBOL_FIELDS = frozenset({"asset", "x", "y", "collateral", "debt", "short", "venue"})
+_POSITIVE_FIELDS = frozenset({"uX", "uY", "pm", "er", "ocr", "emp", "lr", "minP"})  # what the models divide by
 
 
 def _finite(value: Any, what: str) -> float:
@@ -48,9 +51,15 @@ def _finite(value: Any, what: str) -> float:
 
 
 def _field(pool_id: str, name: str, value: Any) -> Any:
-    """A stanza field as its type: a string for asset and venue names, else a finite float."""
+    """A stanza field as its type: a string for asset and venue names, else a finite float,
+    positive for a figure the models divide by."""
     what = f"pool {pool_id!r}: {name}"
-    return expect_type(value, str, what) if name in _SYMBOL_FIELDS else _finite(value, what)
+    if name in _SYMBOL_FIELDS:
+        return expect_type(value, str, what)
+    number = _finite(value, what)
+    if name in _POSITIVE_FIELDS and not number > 0:
+        raise ConfigError(f"{what} must be positive, got {number}")
+    return number
 
 
 def _require(stanza: dict, pool_id: str, *fields: str) -> list[Any]:
@@ -83,10 +92,18 @@ def build_pool(pool_id: str, stanza: dict) -> Pool:
         )
     if kind == "price_reserve":
         x, y, k_x, lr, min_p, max_p = _require(stanza, pool_id, "x", "y", "kX", "lr", "minP", "maxP")
-        return AutomatedPriceReserve(
+        reserve = AutomatedPriceReserve(
             asset_x=x, asset_y=y, inventory_x=k_x, liquidity_rate=lr,
             min_price=min_p, max_price=max_p,
         )
+        try:
+            quote = reserve_quote(reserve)
+        except OverflowError:
+            quote = math.inf
+        if not 0 < quote < math.inf:
+            raise ConfigError(f"pool {pool_id!r}: starting quote minP * exp(lr * kX) must be "
+                              f"positive and finite, got {quote}")
+        return reserve
     if kind == "fixed_price":
         x, y, p_m = _require(stanza, pool_id, "x", "y", "pm")
         return FixedPriceMarket(

@@ -303,7 +303,7 @@ def replay_table(vector: AttackVector, scenario: WorldState) -> Callable[[np.nda
     return table
 
 
-def closed_form_objective(vector: AttackVector, scenario: WorldState) -> Callable:
+def closed_form_objective(vector: AttackVector) -> Callable:
     """The vector's objective (the traced benchmark patches this name)."""
     return vector.objective
 
@@ -329,6 +329,9 @@ def with_bounds(vector: AttackVector, overrides: Mapping[int, tuple[float, float
 # Built-in vector: pump and arbitrage
 # ---------------------------------------------------------------------------
 
+BUILTIN_ACTOR = "adversary"  # the trader of both built-in vectors; a description file names its own
+
+
 def _unique_pool(scenario: WorldState, kind: type) -> tuple[str, object]:
     matches = [(pid, p) for pid, p in scenario.pools.items() if isinstance(p, kind)]
     if len(matches) != 1:
@@ -353,7 +356,7 @@ def _coord(p, i: int):
     return np.asarray(p, dtype=float)[..., i]
 
 
-def build_paa_vector(scenario: WorldState, actor: str = "adversary") -> AttackVector:
+def build_paa_vector(scenario: WorldState) -> AttackVector:
     """Six-step pump-and-arbitrage chain with free params (p1, p2).
 
     p1 collateralizes the lending pool to draw Y; p2 opens the leveraged
@@ -388,7 +391,7 @@ def build_paa_vector(scenario: WorldState, actor: str = "adversary") -> AttackVe
     u_x0, u_y0 = amm.reserve_x, amm.reserve_y
     k = u_x0 * u_y0
     p_m = market.price
-    b0 = scenario.balance(actor, x)
+    b0 = scenario.balance(BUILTIN_ACTOR, x)
 
     def dumped_reserve_x(p):
         pumped = u_x0 + _coord(p, 1) * lev / ocr
@@ -419,7 +422,7 @@ def build_paa_vector(scenario: WorldState, actor: str = "adversary") -> AttackVe
         ActionStep("flash loan", (EndpointCall("flash_loan", flash_id, Params((0, 1))),)),
         ActionStep("collateralized borrow", (EndpointCall("collateralized_borrow", lend_id, Params((0,))),)),
         ActionStep("margin short via pool", (EndpointCall("margin_short", margin_id, Params((1,))),)),
-        ActionStep("dump drawn debt", (EndpointCall("amm_swap_y_for_x", amm_id, AllBalance(actor, y)),)),
+        ActionStep("dump drawn debt", (EndpointCall("amm_swap_y_for_x", amm_id, AllBalance(BUILTIN_ACTOR, y)),)),
         ActionStep("flash repay", (EndpointCall("flash_repay", flash_id, Params((0, 1))),)),
         ActionStep("buy back and redeem", (
             EndpointCall("sell_x_for_y_fixed", market_id, DebtBuyback(lend_id, market_id)),
@@ -432,9 +435,9 @@ def build_paa_vector(scenario: WorldState, actor: str = "adversary") -> AttackVe
         steps=steps,
         n_params=2,
         bounds=((0.0, v_x), (0.0, v_x)),
-        actor=actor,
+        actor=BUILTIN_ACTOR,
         profit_asset=x,
-        objective_name=f"net {x} gain for {actor}",
+        objective_name=f"net {x} gain for {BUILTIN_ACTOR}",
         constraints=constraints,
         objective=objective,
         reference_points={
@@ -448,9 +451,7 @@ def build_paa_vector(scenario: WorldState, actor: str = "adversary") -> AttackVe
 # Built-in vector: oracle manipulation
 # ---------------------------------------------------------------------------
 
-def build_oracle_vector(
-    scenario: WorldState, actor: str = "adversary", zy_cap: bool = False
-) -> AttackVector:
+def build_oracle_vector(scenario: WorldState, zy_cap: bool = False) -> AttackVector:
     """Six-step oracle-manipulation chain with free params (p1, p2, p3).
 
     p1 dumps into the price-oracle AMM, p2 into the exponential reserve,
@@ -524,7 +525,7 @@ def build_oracle_vector(
         ActionStep("convert at the reserve", (EndpointCall("reserve_convert_x_to_y", reserve_id, Params((1,))),)),
         ActionStep("buy at the fixed market", (EndpointCall("sell_x_for_y_fixed", market_id, Params((2,))),)),
         ActionStep("collateralize all holdings", (
-            EndpointCall("collateralized_borrow", lend_id, AllBalance(actor, y), borrow_extra),
+            EndpointCall("collateralized_borrow", lend_id, AllBalance(BUILTIN_ACTOR, y), borrow_extra),
         )),
         ActionStep("flash repay", (EndpointCall("flash_repay", flash_id, Params((0, 1, 2))),)),
     )
@@ -534,9 +535,9 @@ def build_oracle_vector(
         steps=steps,
         n_params=3,
         bounds=((0.0, v_x),) * 3,
-        actor=actor,
+        actor=BUILTIN_ACTOR,
         profit_asset=x,
-        objective_name=f"net {x} gain for {actor}",
+        objective_name=f"net {x} gain for {BUILTIN_ACTOR}",
         constraints=constraints,
         objective=objective,
         reference_points={

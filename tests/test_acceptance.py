@@ -35,7 +35,6 @@ from flashsim.models import (
 )
 from flashsim.optimize import (
     FEASIBILITY_TOL,
-    SolverConfig,
     finite_diff_gradient,
     grid_oracle,
     problem,
@@ -88,9 +87,9 @@ def test_criterion_01_executed_paa_revenue(paa, paa_state):
     ])
 
 
-def test_criterion_02_paa_optimum(paa, paa_state):
+def test_criterion_02_paa_optimum(paa):
     begun = time.perf_counter()
-    result = solve(paa, paa_state, SolverConfig(seed=0, starts=16))
+    result = solve(paa, seed=0, starts=16)
     elapsed = time.perf_counter() - begun
     p1, p2 = result.best_params
     report(2, "pump-and-arbitrage optimum", [
@@ -102,8 +101,8 @@ def test_criterion_02_paa_optimum(paa, paa_state):
     ])
 
 
-def test_criterion_03_paa_constrained_resolve(paa, paa_state):
-    result = solve(with_bounds(paa, {1: (0.0, 1344.0)}), paa_state, SolverConfig(seed=0))
+def test_criterion_03_paa_constrained_resolve(paa):
+    result = solve(with_bounds(paa, {1: (0.0, 1344.0)}), seed=0)
     p1, p2 = result.best_params
     report(3, "pump-and-arbitrage re-solve with p2 <= 1344", [
         ("p1 within 1% of 2404", abs(p1 - 2404.0) <= 0.01 * 2404.0, f"got {p1:.2f}"),
@@ -113,8 +112,8 @@ def test_criterion_03_paa_constrained_resolve(paa, paa_state):
 
 def test_criterion_04_oracle_optimum(oracle, oracle_state):
     trace = evaluate(oracle, oracle_state, (898.58, 546.80, 3517.86))
-    ignored = solve(oracle, oracle_state, SolverConfig(seed=0), ignore=("zY",))
-    enforced = solve(oracle, oracle_state, SolverConfig(seed=0))
+    ignored = solve(oracle, ignore=("zY",), seed=0)
+    enforced = solve(oracle, seed=0)
     zy = [c for c in oracle.constraints if c.name == "zY"][0]
     drawn = 11086.29 - float(zy.fn(np.array(enforced.best_params)))
     cli = CliRunner().invoke(cli_main, ["--format", "structured", "optimize",
@@ -165,9 +164,9 @@ def test_criterion_05_oracle_constrained_resolve(oracle, oracle_state):
     coupling = reserve_quote_coupling(oracle_state)
     vector = with_bounds(replace(oracle, constraints=oracle.constraints + (coupling,)),
                          {1: (0.0, 460.0)})
-    result = solve(vector, oracle_state, SolverConfig(seed=0), ignore=("zY",))
+    result = solve(vector, ignore=("zY",), seed=0)
     p1, p2, p3 = result.best_params
-    prob = problem(vector, oracle_state, ignore=("zY",))
+    prob = problem(vector, ignore=("zY",))
     scaled = dict(zip((c.name for c in prob.constraints), prob.residuals(result.best_params)))
     held = scaled.get(coupling.name, math.nan)
     budget = oracle_state.pool("flash").available
@@ -213,11 +212,11 @@ def test_criterion_06_model_cross_checks(paa_state, oracle_state):
     report(6, "single-operation checks against the incident narrative", checks)
 
 
-def test_criterion_07_oracle_dominance(paa, paa_state, oracle, oracle_state):
-    paa_solve = solve(paa, paa_state, SolverConfig(seed=0))
-    paa_grid = grid_oracle(paa, paa_state, 200)
-    orc_solve = solve(oracle, oracle_state, SolverConfig(seed=0))
-    orc_grid = grid_oracle(oracle, oracle_state, 60)
+def test_criterion_07_oracle_dominance(paa, oracle):
+    paa_solve = solve(paa, seed=0)
+    paa_grid = grid_oracle(paa, 200)
+    orc_solve = solve(oracle, seed=0)
+    orc_grid = grid_oracle(oracle, 60)
     paa_gap = abs(paa_solve.best_objective - paa_grid.best_objective) / paa_solve.best_objective
     orc_gap = abs(orc_solve.best_objective - orc_grid.best_objective) / orc_solve.best_objective
     report(7, "gradient solver and exhaustive grid agree", [
@@ -259,12 +258,12 @@ def test_criterion_08_differential_consistency(paa, paa_state, oracle, oracle_st
     ])
 
 
-def test_criterion_09_gradient_richardson(paa, paa_state):
+def test_criterion_09_gradient_richardson(paa):
     failures = 0
     noise_floor = 1e-7
     for _ in range(100):
         point = (float(RNG.uniform(100.0, 7000.0)), float(RNG.uniform(100.0, 1400.0)))
-        grads = {h: finite_diff_gradient(paa, paa_state, point, step=h) for h in (8.0, 4.0, 2.0)}
+        grads = {h: finite_diff_gradient(paa, point, step=h) for h in (8.0, 4.0, 2.0)}
         coarse = float(np.abs(grads[8.0] - grads[4.0]).max())
         fine = float(np.abs(grads[4.0] - grads[2.0]).max())
         if fine < noise_floor:  # already at float resolution: converged
@@ -361,12 +360,12 @@ def test_criterion_11_analytics_round_trip():
     report(11, "classification and aggregation against a hand-computed table", checks)
 
 
-def test_criterion_12_solver_timing(paa, paa_state, oracle, oracle_state):
+def test_criterion_12_solver_timing(paa, oracle):
     begun = time.perf_counter()
-    solve(paa, paa_state, SolverConfig(seed=0))
+    solve(paa, seed=0)
     paa_elapsed = time.perf_counter() - begun
     begun = time.perf_counter()
-    solve(oracle, oracle_state, SolverConfig(seed=0))
+    solve(oracle, seed=0)
     oracle_elapsed = time.perf_counter() - begun
     report(12, "solver wall time within 100x of the reported 6.1 ms / 12.9 ms", [
         ("pump-and-arbitrage solve under 1.3 s", paa_elapsed < 1.3, f"{paa_elapsed:.3f} s"),

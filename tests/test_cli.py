@@ -263,6 +263,38 @@ def test_built_in_vector_refuses_what_its_closed_form_leaves_out(runner, tmp_pat
     assert res.exit_code == 0, res.output
 
 
+# Pool figures the models divide by, and a reserve quote past the float range: these ended in a
+# ZeroDivisionError or OverflowError traceback, in numpy warnings with exit 0, or in exit 2 with
+# only "every start failed to evaluate".
+UNLOADABLE_POOLS = {
+    "paa-margin-ocr-zero": ("pump_arbitrage", "margin", {"ocr": 0.0}, "ocr must be positive, got 0.0"),
+    "paa-amm-ux-zero": ("pump_arbitrage", "amm", {"uX": 0.0}, "uX must be positive, got 0.0"),
+    "paa-amm-uy-zero": ("pump_arbitrage", "amm", {"uY": 0.0}, "uY must be positive, got 0.0"),
+    "paa-market-pm-zero": ("pump_arbitrage", "market", {"pm": 0.0}, "pm must be positive, got 0.0"),
+    "paa-lending-er-negative": ("pump_arbitrage", "lending", {"er": -1.0}, "er must be positive, got -1.0"),
+    "oracle-reserve-lr-zero": ("oracle_manipulation", "reserve", {"lr": 0.0}, "lr must be positive, got 0.0"),
+    "oracle-market-pm-zero": ("oracle_manipulation", "market", {"pm": 0.0}, "pm must be positive, got 0.0"),
+    "oracle-amm-ux-zero": ("oracle_manipulation", "amm", {"uX": 0.0}, "uX must be positive, got 0.0"),
+    "oracle-amm-uy-zero": ("oracle_manipulation", "amm", {"uY": 0.0}, "uY must be positive, got 0.0"),
+    "oracle-reserve-kx-overflow": ("oracle_manipulation", "reserve", {"kX": 1e308},
+                                   "starting quote minP * exp(lr * kX) must be positive and finite, got inf"),
+    "oracle-reserve-lr-overflow": ("oracle_manipulation", "reserve", {"lr": 1e308},
+                                   "starting quote minP * exp(lr * kX) must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "describe", "optimize"])
+@pytest.mark.parametrize("name, pool, change, error", UNLOADABLE_POOLS.values(), ids=UNLOADABLE_POOLS.keys())
+def test_pool_figure_the_models_cannot_use_exits_2_naming_it(tmp_path, command, name, pool, change, error):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(scenario_text(lambda d: d["pools"][pool].update(change), name))
+    vector = {"pump_arbitrage": "paa", "oracle_manipulation": "oracle"}[name]
+    extra = {"evaluate": POINTS[vector], "describe": [], "optimize": ["--starts", "2", "--grid-res", "10"]}
+    res = spawn(["-m", "flashsim.cli", command, "--scenario", str(scenario), "--vector", vector, *extra[command]])
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"error: pool {pool!r}: {error}\n"
+
+
 OPTIMIZE_PAA = ["optimize", "--scenario", "pump_arbitrage", "--vector", "paa"]
 ATOMICITY = ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "2",
              "--i-values", "0,5", "--trials", "3"]

@@ -20,7 +20,6 @@ from flashsim.optimize import (
     GRID_BLOCK,
     MAX_ITERATIONS,
     TOLERANCE,
-    SolverConfig,
     _central_difference,
     _forward_jacobian,
     finite_diff_gradient,
@@ -62,10 +61,10 @@ def linear_test_vector(coeffs=(2.0, 3.0)):
     )
 
 
-def full_mesh_grid(vector, scenario, resolution, ignore=()):
+def full_mesh_grid(vector, resolution, ignore=()):
     """The grid oracle as one call on its whole mesh, the reference for the blocked
     scan: (feasible, objective, params, max violation)."""
-    prob = problem(vector, scenario, ignore)
+    prob = problem(vector, ignore)
 
     def scan(lo, hi):
         mesh = np.meshgrid(*(np.linspace(a, b, resolution) for a, b in zip(lo, hi)), indexing="ij")
@@ -88,19 +87,19 @@ def full_mesh_grid(vector, scenario, resolution, ignore=()):
     return best[0], best[1], tuple(float(v) for v in best[2]), best[3]
 
 
-def assert_grid_matches_full_mesh(vector, scenario, resolution, ignore=()):
-    grid = grid_oracle(vector, scenario, resolution, ignore=ignore)
-    expected = full_mesh_grid(vector, scenario, resolution, ignore)
+def assert_grid_matches_full_mesh(vector, resolution, ignore=()):
+    grid = grid_oracle(vector, resolution, ignore=ignore)
+    expected = full_mesh_grid(vector, resolution, ignore)
     assert (grid.feasible, grid.best_objective, grid.best_params, grid.max_violation) == expected
     assert grid.iterations == resolution ** vector.n_params * (2 if grid.feasible else 1)
     return grid
 
 
-def minimize_reference(vector, scenario, config, ignore=()):
+def minimize_reference(vector, ignore=(), starts=16, seed=0):
     """The solver as one `scipy.optimize.minimize(method="SLSQP")` call per start, with SciPy
     differencing the constraints itself: the reference for the lockstep driver.  Returns the
     best params, objective and max violation, the iterations and the number of starts skipped."""
-    prob = problem(vector, scenario, ignore)
+    prob = problem(vector, ignore)
     lo, hi = np.array(vector.bounds, dtype=float).T
     n, step = len(lo), FD_STEP
 
@@ -113,7 +112,7 @@ def minimize_reference(vector, scenario, config, ignore=()):
 
     constraints = [{"type": "ineq", "fun": prob.residuals}] if prob.constraints else []
     ends, iterations, skipped = [], 0, 0
-    for x0 in latin_hypercube(config.starts, vector.bounds, config.seed):
+    for x0 in latin_hypercube(starts, vector.bounds, seed):
         try:
             with warnings.catch_warnings():  # SLSQP may step a few ulps outside the box
                 warnings.filterwarnings("ignore", "Values in x were outside bounds", RuntimeWarning)
@@ -151,35 +150,34 @@ class TestLockstepMatchesMinimize:
     """The lockstep driver gives SciPy's own per-start SLSQP results, bit for bit."""
 
     @staticmethod
-    def assert_matches(vector, state, config, ignore=()):
-        result = solve(vector, state, config, ignore)
-        expected = minimize_reference(vector, state, config, ignore)
+    def assert_matches(vector, ignore=(), **settings):
+        result = solve(vector, ignore, **settings)
+        expected = minimize_reference(vector, ignore, **settings)
         assert (result.best_params, result.best_objective, result.max_violation, result.iterations) == expected[:4]
         return expected[4]
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 58])
     @pytest.mark.parametrize("name, ignore", [("paa", ()), ("oracle", ()), ("oracle", ("zY",))])
     def test_incident_problems(self, name, ignore, seed, request):
-        vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
-        self.assert_matches(vector, state, SolverConfig(seed=seed), ignore)
+        self.assert_matches(request.getfixturevalue(name), ignore=ignore, seed=seed)
 
-    def test_fixed_parameter(self, oracle, oracle_state):
-        self.assert_matches(with_bounds(oracle, {0: (300.0, 300.0)}), oracle_state, SolverConfig(seed=0, starts=4))
+    def test_fixed_parameter(self, oracle):
+        self.assert_matches(with_bounds(oracle, {0: (300.0, 300.0)}), seed=0, starts=4)
 
-    def test_unconstrained(self, paa_state):
-        self.assert_matches(linear_test_vector(), paa_state, SolverConfig(seed=0, starts=4))
+    def test_unconstrained(self):
+        self.assert_matches(linear_test_vector(), seed=0, starts=4)
 
-    def test_infeasible(self, paa_state):
+    def test_infeasible(self):
         never = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -1.0)
-        self.assert_matches(replace(linear_test_vector(), constraints=(never,)), paa_state, SolverConfig(seed=0))
+        self.assert_matches(replace(linear_test_vector(), constraints=(never,)), seed=0)
 
     @pytest.mark.parametrize("seed", [0, 58])
     def test_described_paa(self, paa, paa_state, seed):
         described = parse_vector(describe(paa), paa_state)
-        self.assert_matches(described, paa_state, SolverConfig(seed=seed, starts=4))
+        self.assert_matches(described, seed=seed, starts=4)
 
-    def test_only_the_starts_that_fail_are_skipped(self, paa_state):
-        skipped = self.assert_matches(capped_linear_vector(), paa_state, SolverConfig(seed=1))
+    def test_only_the_starts_that_fail_are_skipped(self):
+        skipped = self.assert_matches(capped_linear_vector(), seed=1)
         assert 0 < skipped < 16
 
     def test_jacobian_reuses_the_replay_of_the_objective(self, paa, paa_state, monkeypatch):
@@ -187,14 +185,14 @@ class TestLockstepMatchesMinimize:
         described = parse_vector(describe(paa), paa_state)
         replayed, real = [], vectors.evaluate
         monkeypatch.setattr(vectors, "evaluate", lambda v, s, p: replayed.append(tuple(p)) or real(v, s, p))
-        solve(described, paa_state, SolverConfig(seed=0, starts=4))
+        solve(described, seed=0, starts=4)
         assert (len(replayed), len(set(replayed))) == (360, 333)
 
 
 class TestSolve:
-    def test_paa_reaches_documented_optimum(self, paa, paa_state):
+    def test_paa_reaches_documented_optimum(self, paa):
         begun = time.perf_counter()
-        result = solve(paa, paa_state, SolverConfig(seed=0))
+        result = solve(paa, seed=0)
         elapsed = time.perf_counter() - begun
         assert result.feasible
         assert result.best_objective >= 2778.94 * 0.995
@@ -203,128 +201,128 @@ class TestSolve:
         assert elapsed < 1.0
         assert result.starts_tried == 16
 
-    def test_paa_resolve_with_tighter_margin_bound(self, paa, paa_state):
+    def test_paa_resolve_with_tighter_margin_bound(self, paa):
         tightened = with_bounds(paa, {1: (0.0, 1344.0)})
-        result = solve(tightened, paa_state, SolverConfig(seed=0))
+        result = solve(tightened, seed=0)
         assert result.best_params[0] == pytest.approx(2404.0, rel=1e-2)
         assert result.best_params[1] == pytest.approx(1344.0, rel=1e-2)
         # closed-form value at the constrained optimum
         assert result.best_objective == pytest.approx(2456.946, rel=1e-3)
 
-    def test_oracle_with_liquidity_ignored_beats_documented_revenue(self, oracle, oracle_state):
-        result = solve(oracle, oracle_state, SolverConfig(seed=0), ignore=("zY",))
+    def test_oracle_with_liquidity_ignored_beats_documented_revenue(self, oracle):
+        result = solve(oracle, ignore=("zY",), seed=0)
         assert result.feasible
         assert result.best_objective >= 6323.93 * 0.995
 
-    def test_oracle_enforced_sits_on_liquidity_boundary(self, oracle, oracle_state):
-        result = solve(oracle, oracle_state, SolverConfig(seed=0))
+    def test_oracle_enforced_sits_on_liquidity_boundary(self, oracle):
+        result = solve(oracle, seed=0)
         assert result.feasible
         zy = [c for c in oracle.constraints if c.name == "zY"][0]
         drawn = 11086.29 - float(zy.fn(np.array(result.best_params)))
         assert drawn == pytest.approx(11086.29, abs=0.05)
 
     def test_reported_objective_matches_fresh_replay(self, paa, paa_state):
-        result = solve(paa, paa_state, SolverConfig(seed=3))
+        result = solve(paa, seed=3)
         replayed = evaluate(paa, paa_state, result.best_params).objective_value
         assert math.isclose(result.best_objective, replayed, rel_tol=1e-9)
 
-    def test_seed_determinism(self, paa, paa_state):
-        a = solve(paa, paa_state, SolverConfig(seed=11))
-        b = solve(paa, paa_state, SolverConfig(seed=11))
+    def test_seed_determinism(self, paa):
+        a = solve(paa, seed=11)
+        b = solve(paa, seed=11)
         assert a.best_params == b.best_params
         assert a.best_objective == b.best_objective
         assert a.iterations == b.iterations
 
-    def test_infeasible_problem_reported_explicitly(self, paa_state):
+    def test_infeasible_problem_reported_explicitly(self):
         impossible = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -1.0)
         vector = linear_test_vector()
         vector = AttackVector(**{**vector.__dict__, "constraints": (impossible,)})
-        result = solve(vector, paa_state, SolverConfig(seed=0))
+        result = solve(vector, seed=0)
         assert not result.feasible
         assert result.max_violation < 0
 
-    def test_ignoring_unknown_constraint_is_config_error(self, paa, paa_state):
+    def test_ignoring_unknown_constraint_is_config_error(self, paa):
         with pytest.raises(ConfigError):
-            solve(paa, paa_state, SolverConfig(), ignore=("nope",))
+            solve(paa, ignore=("nope",))
 
-    def test_feasible_results_respect_tolerance(self, oracle, oracle_state):
-        result = solve(oracle, oracle_state, SolverConfig(seed=5))
+    def test_feasible_results_respect_tolerance(self, oracle):
+        result = solve(oracle, seed=5)
         assert result.max_violation >= -1e-6
 
-    def test_fixed_parameter_is_solved_over_the_others(self, oracle, oracle_state):
+    def test_fixed_parameter_is_solved_over_the_others(self, oracle):
         # SciPy drops a parameter fixed by its bounds only while it differences
         # the constraints itself; a Jacobian with its NaN column stalls SLSQP
         fixed = with_bounds(oracle, {0: (300.0, 300.0)})
-        result = solve(fixed, oracle_state, SolverConfig(seed=0, starts=4))
+        result = solve(fixed, seed=0, starts=4)
         assert result.feasible
         assert result.best_params[0] == 300.0
         assert result.best_objective == pytest.approx(546.7721097, rel=1e-8)
 
 
 class TestGridOracle:
-    def test_paa_agreement_within_one_percent(self, paa, paa_state):
-        best = solve(paa, paa_state, SolverConfig(seed=0))
-        grid = grid_oracle(paa, paa_state, 200)
+    def test_paa_agreement_within_one_percent(self, paa):
+        best = solve(paa, seed=0)
+        grid = grid_oracle(paa, 200)
         assert grid.feasible
         assert abs(best.best_objective - grid.best_objective) <= 0.01 * best.best_objective
 
-    def test_oracle_agreement_within_two_percent(self, oracle, oracle_state):
-        best = solve(oracle, oracle_state, SolverConfig(seed=0))
-        grid = grid_oracle(oracle, oracle_state, 60)
+    def test_oracle_agreement_within_two_percent(self, oracle):
+        best = solve(oracle, seed=0)
+        grid = grid_oracle(oracle, 60)
         assert grid.feasible
         assert abs(best.best_objective - grid.best_objective) <= 0.02 * best.best_objective
 
-    def test_constant_objective_picks_feasible_corner(self, paa_state):
+    def test_constant_objective_picks_feasible_corner(self):
         flat = AttackVector(
             name="flat", steps=(), n_params=2, bounds=((0.0, 1.0), (0.0, 1.0)),
             actor="adversary", profit_asset="X", objective_name="constant",
             constraints=(), objective=lambda p: np.asarray(p, dtype=float)[..., 0] * 0.0 + 7.0,
         )
-        grid = grid_oracle(flat, paa_state, 5)
+        grid = grid_oracle(flat, 5)
         assert grid.feasible
         assert grid.best_objective == 7.0
         assert all(v in (0.0, 0.25, 0.5, 0.75, 1.0) for v in grid.best_params)
 
-    def test_dimension_limit(self, paa_state):
+    def test_dimension_limit(self):
         too_big = AttackVector(
             name="big", steps=(), n_params=4, bounds=((0.0, 1.0),) * 4,
             actor="adversary", profit_asset="X", objective_name="n/a",
             constraints=(), objective=lambda p: 0.0,
         )
         with pytest.raises(ValueError):
-            grid_oracle(too_big, paa_state, 5)
+            grid_oracle(too_big, 5)
 
-    def test_resolution_validation(self, paa, paa_state):
+    def test_resolution_validation(self, paa):
         with pytest.raises(ConfigError):
-            grid_oracle(paa, paa_state, 1)
+            grid_oracle(paa, 1)
 
-    def test_infeasible_box_flagged(self, paa_state):
+    def test_infeasible_box_flagged(self):
         impossible = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -np.ones(np.asarray(p).shape[:-1]) if np.asarray(p).ndim > 1 else -1.0)
         vector = linear_test_vector()
         vector = AttackVector(**{**vector.__dict__, "constraints": (impossible,)})
-        grid = grid_oracle(vector, paa_state, 5)
+        grid = grid_oracle(vector, 5)
         assert not grid.feasible
 
     @pytest.mark.parametrize("name, resolution, ignore", [
         ("paa", 200, ()), ("oracle", 60, ()), ("oracle", 60, ("zY",)), ("oracle", 17, ())])
     def test_blocks_match_one_call_on_the_full_mesh(self, name, resolution, ignore, request):
-        vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
-        assert_grid_matches_full_mesh(vector, state, resolution, ignore)
+        vector = request.getfixturevalue(name)
+        assert_grid_matches_full_mesh(vector, resolution, ignore)
         assert resolution ** vector.n_params > GRID_BLOCK  # 17 ** 3 also leaves a partial last block
 
-    def test_all_infeasible_box_returns_lo_corner(self, paa_state):
+    def test_all_infeasible_box_returns_lo_corner(self):
         never = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -1.0 - np.asarray(p)[..., 0])
         vector = replace(linear_test_vector((2.0, 3.0, 1.0)), constraints=(never,))
-        grid = assert_grid_matches_full_mesh(vector, paa_state, 17)
+        grid = assert_grid_matches_full_mesh(vector, 17)
         assert not grid.feasible
         assert grid.best_params == (0.0, 0.0, 0.0)
         assert grid.max_violation == -1.0
 
-    def test_tie_goes_to_the_first_mesh_point(self, paa_state):
+    def test_tie_goes_to_the_first_mesh_point(self):
         # the plateau p1 >= 50 starts at flat index 8 * 17 ** 2 and runs past the first block
         plateau = replace(linear_test_vector((1.0, 1.0, 1.0)),
                           objective=lambda p: np.minimum(np.asarray(p)[..., 0], 50.0))
-        grid = assert_grid_matches_full_mesh(plateau, paa_state, 17)
+        grid = assert_grid_matches_full_mesh(plateau, 17)
         assert 8 * 17 ** 2 < GRID_BLOCK < 17 ** 3
         assert grid.best_params == (50.0, 0.0, 0.0)
 
@@ -334,18 +332,17 @@ class TestGridOracle:
     def test_a_fixed_axis_is_scanned_as_one_mesh_line(self, name, fixed, request):
         # a fixed axis was scanned at full resolution, every line the same points
         vector = with_bounds(request.getfixturevalue(name), fixed)
-        state = request.getfixturevalue(f"{name}_state")
-        grid = grid_oracle(vector, state, 17)
-        expected = full_mesh_grid(vector, state, 17)
+        grid = grid_oracle(vector, 17)
+        expected = full_mesh_grid(vector, 17)
         assert (grid.feasible, grid.best_objective, grid.best_params, grid.max_violation) == expected
         assert grid.feasible
         assert grid.iterations == 2 * 17 ** (vector.n_params - len(fixed))
 
     @pytest.mark.parametrize("resolution", [60, 90])
-    def test_memory_is_bounded_at_any_resolution(self, oracle, oracle_state, resolution):
+    def test_memory_is_bounded_at_any_resolution(self, oracle, resolution):
         tracemalloc.start()
         try:
-            grid_oracle(oracle, oracle_state, resolution)
+            grid_oracle(oracle, resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,21 +350,21 @@ class TestGridOracle:
 
 
 class TestFiniteDifferences:
-    def test_linear_objective_recovers_coefficients(self, paa_state):
+    def test_linear_objective_recovers_coefficients(self):
         vector = linear_test_vector((2.0, 3.0))
-        grad = finite_diff_gradient(vector, paa_state, (50.0, 50.0), step=1e-3)
+        grad = finite_diff_gradient(vector, (50.0, 50.0), step=1e-3)
         assert grad == pytest.approx([2.0, 3.0], abs=1e-6)
 
-    def test_first_order_optimality_at_documented_optimum(self, paa, paa_state):
+    def test_first_order_optimality_at_documented_optimum(self, paa):
         # wX binds p2 at the optimum; the free (p1) direction must be flat
-        grad = finite_diff_gradient(paa, paa_state, (2470.08, 1456.23 - 1.0), step=0.5)
+        grad = finite_diff_gradient(paa, (2470.08, 1456.23 - 1.0), step=0.5)
         objective = float(paa.objective(np.array([2470.08, 1456.23])))
         assert abs(grad[0]) < 1e-2 * abs(objective)
 
-    def test_richardson_step_halving(self, paa, paa_state):
+    def test_richardson_step_halving(self, paa):
         point = (3000.0, 900.0)
         estimates = {
-            h: finite_diff_gradient(paa, paa_state, point, step=h)
+            h: finite_diff_gradient(paa, point, step=h)
             for h in (8.0, 4.0, 2.0)
         }
         coarse = np.abs(estimates[8.0] - estimates[4.0]).max()
@@ -393,9 +390,9 @@ class TestFiniteDifferences:
             expected.append((float(f(x + bump)) - float(f(x - bump))) / (2.0 * h))
         assert np.array_equal(_central_difference(f, x[None], h)[0], expected)
 
-    def test_requires_interior_point(self, paa, paa_state):
+    def test_requires_interior_point(self, paa):
         with pytest.raises(ValueError):
-            finite_diff_gradient(paa, paa_state, (0.0, 100.0), step=1.0)
+            finite_diff_gradient(paa, (0.0, 100.0), step=1.0)
 
 
 class TestConstraintJacobian:
@@ -422,14 +419,14 @@ class TestConstraintJacobian:
         vector = request.getfixturevalue(name.removeprefix("described_"))
         if name.startswith("described_"):
             vector = parse_vector(describe(vector), state)
-        prob = problem(vector, state, ignore)
+        prob = problem(vector, ignore)
         lo, hi = np.array(prob.bounds).T
         for x in lo + np.random.default_rng(3).random((points, len(lo))) * (hi - lo):
             self.assert_scipy_jacobian(prob, x)
 
     @pytest.mark.parametrize("name", ["paa", "oracle"])
     def test_points_on_and_near_the_bounds(self, name, request):
-        prob = problem(request.getfixturevalue(name), request.getfixturevalue(f"{name}_state"))
+        prob = problem(request.getfixturevalue(name))
         lo, hi = np.array(prob.bounds).T
         inner = lo + np.random.default_rng(4).random(len(lo)) * (hi - lo)
         at_hi = self.assert_scipy_jacobian(prob, hi.copy())
@@ -443,13 +440,13 @@ class TestConstraintJacobian:
         outside = hi + 1e-9 * (hi - lo)
         assert np.array_equal(self.jacobian(prob, outside), at_hi, equal_nan=True)
 
-    def test_zero_width_box_gives_a_nan_column(self, oracle, oracle_state):
-        prob = problem(with_bounds(oracle, {0: (300.0, 300.0)}), oracle_state)
+    def test_zero_width_box_gives_a_nan_column(self, oracle):
+        prob = problem(with_bounds(oracle, {0: (300.0, 300.0)}))
         jacobian = self.assert_scipy_jacobian(prob, np.array([300.0, 500.0, 3000.0]))
         assert np.isnan(jacobian[:, 0]).all() and not np.isnan(jacobian[:, 1:]).any()
 
-    def test_vanishing_step_falls_back_to_a_relative_one(self, paa, paa_state):
-        prob = problem(with_bounds(paa, {0: (0.0, 1e12)}), paa_state)
+    def test_vanishing_step_falls_back_to_a_relative_one(self, paa):
+        prob = problem(with_bounds(paa, {0: (0.0, 1e12)}))
         x = np.array([5e11, 100.0])
         assert x[0] + np.sqrt(np.finfo(float).eps) == x[0]
         self.assert_scipy_jacobian(prob, x)

@@ -99,7 +99,7 @@ def key_paths(node, prefix=()):
 
 
 JUNK = st.one_of(st.text(max_size=6), st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=2),
-                 st.none(), st.just(math.inf), st.just(math.nan))
+                 st.none(), st.just(math.inf), st.just(math.nan), st.just(0.0), st.just(-1.0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -114,6 +114,8 @@ def test_junk_field_values_never_end_in_a_traceback(tmp_path_factory, replacemen
         node[path[-1]] = value
     scenario = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     scenario.write_text(json.dumps(doc))
-    res = CliRunner().invoke(main, ["evaluate", "--scenario", str(scenario), "--vector", "paa", "5500", "1300"])
-    assert res.exit_code in (0, 1, 2)
-    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    for argv in (["evaluate", "--scenario", str(scenario), "--vector", "paa", "5500", "1300"],
+                 ["optimize", "--scenario", str(scenario), "--vector", "paa", "--starts", "2", "--grid-res", "10"]):
+        res = CliRunner().invoke(main, argv)
+        assert res.exit_code in (0, 1, 2)
+        assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)

@@ -261,7 +261,7 @@ class TestDescription:
         parsed = parse_vector(json.loads(DESCRIBED_PAA.read_text()), paa_state)
         assert len(replays) <= 7  # one per distinct probe point
         replays.clear()
-        grid_oracle(parsed, paa_state, 40)
+        grid_oracle(parsed, 40)
         # objective and every residual of a point share its replay
         assert len(replays) <= 2 * 40 ** 2 + 1
 
@@ -282,7 +282,7 @@ class TestDescription:
         from concurrent.futures import ThreadPoolExecutor
 
         parsed = parse_vector(json.loads(DESCRIBED_PAA.read_text()), paa_state)
-        objective = closed_form_objective(parsed, paa_state)
+        objective = closed_form_objective(parsed)
         points = [(float(a), float(b)) for a in range(0, 7000, 700) for b in range(0, 1400, 280)]
 
         def read(pair):
