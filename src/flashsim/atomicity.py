@@ -51,8 +51,8 @@ class TwoExchangeMarket:
 
 def load_market(path: str | Path) -> tuple[TwoExchangeMarket, str]:
     """Read a market file: the pair `x`, `y` and one constant-product stanza
-    (`uX`, `uY`, optional `fee`) under each of `exchange_a` and `exchange_b`.
-    Returns the market and the sha256 of the file."""
+    (`uX`, `uY` > 0, optional `fee` in [0, 1)) under each of `exchange_a` and
+    `exchange_b`.  Returns the market and the sha256 of the file."""
     doc, digest = read_json(path, "market")
     expect_type(doc, dict, f"market {path}")
     pair = {"type": "constant_product", "x": doc.get("x", "X"), "y": doc.get("y", "Y")}

@@ -2,10 +2,11 @@
 
 A scenario is a JSON document naming assets, entities, starting balances,
 and one stanza per pool.  Pool stanzas use the short field names common in
-on-chain incident write-ups (vX, cf, er, zY, uX, uY, ocr, leverage, wX,
-pm, lr, minP, maxP, kX, maxY).  Two scenarios ship with the package:
-``pump_arbitrage`` (the February 15 2020 ETH/WBTC incident state) and
-``oracle_manipulation`` (the February 18 2020 ETH/sUSD incident state).
+on-chain incident write-ups; `_POOL_TYPES` declares each stanza type's
+fields, with each field's model attribute, domain and default.  Two
+scenarios ship with the package: ``pump_arbitrage`` (the February 15 2020
+ETH/WBTC incident state) and ``oracle_manipulation`` (the February 18 2020
+ETH/sUSD incident state).
 """
 
 from __future__ import annotations
@@ -39,8 +40,38 @@ from .models import (
 BUILTIN_SCENARIOS = ("pump_arbitrage", "oracle_manipulation")
 
 
-_SYMBOL_FIELDS = frozenset({"asset", "x", "y", "collateral", "debt", "short", "venue"})
-_POSITIVE_FIELDS = frozenset({"uX", "uY", "pm", "er", "ocr", "emp", "lr", "minP"})  # what the models divide by
+# Field domains.  A symbol names a declared asset or a defined pool (checked by
+# scenario_from_dict); a number is a finite float that passes the domain's test.
+ASSET, POOL = "asset", "pool"
+NON_NEGATIVE, POSITIVE = ("non-negative", lambda v: v >= 0), ("positive", lambda v: v > 0)
+FRACTION, UNIT = ("in [0, 1)", lambda v: 0 <= v < 1), ("in [0, 1]", lambda v: 0 <= v <= 1)
+
+# Each stanza type: its model and, per field, (model attribute, domain[, default]); the
+# comment names the model op whose use of the fields sets their domains.  A field with a
+# default is optional, and JSON null reads as absent.  A nested stanza's domain is a
+# sub-table, (model, fields).
+_PAIR = {"x": ("asset_x", ASSET), "y": ("asset_y", ASSET)}
+_POOL_TYPES = {
+    "flash_loan": (FlashLoanPool, {  # flash_loan, flash_repay
+        "asset": ("asset", ASSET), "vX": ("available", NON_NEGATIVE),
+        "interest": ("interest", (InterestModel, {"rate": ("rate", NON_NEGATIVE, 0.0),
+                                                  "flat": ("flat", NON_NEGATIVE, 0.0)}), InterestModel())}),
+    "constant_product": (ConstantProductAmm, {  # constant_product_swap
+        **_PAIR, "uX": ("reserve_x", POSITIVE), "uY": ("reserve_y", POSITIVE), "fee": ("fee_rate", FRACTION, 0.0)}),
+    "price_reserve": (AutomatedPriceReserve, {  # reserve_convert_x_to_y
+        **_PAIR, "kX": ("inventory_x", NON_NEGATIVE), "lr": ("liquidity_rate", POSITIVE),
+        "minP": ("min_price", POSITIVE), "maxP": ("max_price", POSITIVE)}),
+    "fixed_price": (FixedPriceMarket, {  # sell_x_for_y_fixed
+        **_PAIR, "pm": ("price", POSITIVE), "maxY": ("max_y", NON_NEGATIVE, None)}),
+    "lending": (LendingPool, {  # collateralized_borrow, an over-collateralized lender
+        "collateral": ("collateral_asset", ASSET), "debt": ("debt_asset", ASSET),
+        "cf": ("collateral_factor", UNIT), "zY": ("available_debt", NON_NEGATIVE),
+        "er": ("exchange_rate", POSITIVE, None)}),
+    "margin": (MarginPlatform, {  # margin_short
+        "collateral": ("collateral_asset", ASSET), "short": ("short_asset", ASSET),
+        "leverage": ("leverage", POSITIVE), "ocr": ("over_collateral_ratio", POSITIVE),
+        "wX": ("available_x", NON_NEGATIVE), "venue": ("venue", POOL, None), "emp": ("external_price", POSITIVE, None)}),
+}
 
 
 def _finite(value: Any, what: str) -> float:
@@ -50,83 +81,44 @@ def _finite(value: Any, what: str) -> float:
     return number
 
 
-def _field(pool_id: str, name: str, value: Any) -> Any:
-    """A stanza field as its type: a string for asset and venue names, else a finite float,
-    positive for a figure the models divide by."""
-    what = f"pool {pool_id!r}: {name}"
-    if name in _SYMBOL_FIELDS:
-        return expect_type(value, str, what)
-    number = _finite(value, what)
-    if name in _POSITIVE_FIELDS and not number > 0:
-        raise ConfigError(f"{what} must be positive, got {number}")
-    return number
-
-
-def _require(stanza: dict, pool_id: str, *fields: str) -> list[Any]:
-    missing = [f for f in fields if f not in stanza]
+def _build(pool_id: str, model: type, fields: dict, stanza: dict, prefix: str = "") -> Any:
+    """`model` from `stanza`, each field read in its domain; `prefix` names a nested stanza."""
+    missing = [prefix + name for name, (_, _, *default) in fields.items() if not default and name not in stanza]
     if missing:
         raise ConfigError(f"pool {pool_id!r}: missing field(s) {', '.join(missing)}")
-    return [_field(pool_id, f, stanza[f]) for f in fields]
-
-
-def _optional(stanza: dict, pool_id: str, name: str, default: Any = None) -> Any:
-    value = stanza.get(name)
-    return default if value is None else _field(pool_id, name, value)
+    values = {}
+    for name, (attribute, domain, *default) in fields.items():
+        value, what = stanza.get(name), f"pool {pool_id!r}: {prefix}{name}"
+        if value is None and default:
+            value = default[0]
+        elif domain in (ASSET, POOL):
+            value = expect_type(value, str, what)
+        elif isinstance(domain[1], dict):
+            value = _build(pool_id, *domain, expect_type(value, dict, what), f"{prefix}{name}.")
+        elif not domain[1](value := _finite(value, what)):
+            raise ConfigError(f"{what} must be {domain[0]}, got {value}")
+        values[attribute] = value
+    return model(**values)
 
 
 def build_pool(pool_id: str, stanza: dict) -> Pool:
-    """One pool from its scenario stanza; a malformed stanza raises ConfigError."""
+    """One pool from its scenario stanza by `_POOL_TYPES`; a malformed stanza raises ConfigError."""
     kind = expect_type(stanza, dict, f"pool {pool_id!r}").get("type")
-    if kind == "flash_loan":
-        asset, v_x = _require(stanza, pool_id, "asset", "vX")
-        interest = expect_type(stanza.get("interest", {}), dict, f"pool {pool_id!r}: interest")
-        return FlashLoanPool(asset=asset, available=v_x, interest=InterestModel(
-            rate=_optional(interest, pool_id, "rate", 0.0),
-            flat=_optional(interest, pool_id, "flat", 0.0),
-        ))
-    if kind == "constant_product":
-        x, y, u_x, u_y = _require(stanza, pool_id, "x", "y", "uX", "uY")
-        return ConstantProductAmm(
-            asset_x=x, asset_y=y, reserve_x=u_x, reserve_y=u_y,
-            fee_rate=_optional(stanza, pool_id, "fee", 0.0),
-        )
-    if kind == "price_reserve":
-        x, y, k_x, lr, min_p, max_p = _require(stanza, pool_id, "x", "y", "kX", "lr", "minP", "maxP")
-        reserve = AutomatedPriceReserve(
-            asset_x=x, asset_y=y, inventory_x=k_x, liquidity_rate=lr,
-            min_price=min_p, max_price=max_p,
-        )
+    if not isinstance(kind, str) or kind not in _POOL_TYPES:
+        raise ConfigError(f"pool {pool_id!r}: unknown type {kind!r}")
+    pool = _build(pool_id, *_POOL_TYPES[kind], stanza)
+    if isinstance(pool, AutomatedPriceReserve):
+        if pool.min_price > pool.max_price:
+            raise ConfigError(f"pool {pool_id!r}: minP must be at most maxP, "
+                              f"got {pool.min_price} > {pool.max_price}")
         try:
-            quote = reserve_quote(reserve)
+            quote = reserve_quote(pool)
         except OverflowError:
             quote = math.inf
         if not 0 < quote < math.inf:
             raise ConfigError(f"pool {pool_id!r}: starting quote minP * exp(lr * kX) must be "
                               f"positive and finite, got {quote}")
-        return reserve
-    if kind == "fixed_price":
-        x, y, p_m = _require(stanza, pool_id, "x", "y", "pm")
-        return FixedPriceMarket(
-            asset_x=x, asset_y=y, price=p_m, max_y=_optional(stanza, pool_id, "maxY"),
-        )
-    if kind == "lending":
-        collateral, debt, cf, z_y = _require(stanza, pool_id, "collateral", "debt", "cf", "zY")
-        return LendingPool(
-            collateral_asset=collateral, debt_asset=debt,
-            collateral_factor=cf, available_debt=z_y,
-            exchange_rate=_optional(stanza, pool_id, "er"),
-        )
-    if kind == "margin":
-        collateral, short, lev, ocr, w_x = _require(
-            stanza, pool_id, "collateral", "short", "leverage", "ocr", "wX"
-        )
-        return MarginPlatform(
-            collateral_asset=collateral, short_asset=short,
-            leverage=lev, over_collateral_ratio=ocr, available_x=w_x,
-            venue=_optional(stanza, pool_id, "venue"),
-            external_price=_optional(stanza, pool_id, "emp"),
-        )
-    raise ConfigError(f"pool {pool_id!r}: unknown type {kind!r}")
+    return pool
 
 
 def scenario_from_dict(doc: dict) -> WorldState:
@@ -135,29 +127,27 @@ def scenario_from_dict(doc: dict) -> WorldState:
     if (not isinstance(assets, list) or not all(isinstance(a, str) and a for a in assets)
             or len(set(assets)) != len(assets)):
         raise ConfigError("assets must be unique non-empty symbols")
+    declared = set(assets)
     balances: dict[tuple[str, str], float] = {}
     for entity, per_asset in expect_type(doc.get("balances", {}), dict, "balances").items():
         for asset, amount in expect_type(per_asset, dict, f"balances of {entity!r}").items():
             amount = _finite(amount, f"balance of {entity}/{asset}")
             if amount < 0:
                 raise ConfigError(f"negative initial balance for {entity}/{asset}")
+            if declared and asset not in declared:
+                raise ConfigError(f"balance of {entity}/{asset}: undeclared asset {asset!r}")
             balances[(entity, asset)] = amount
     stanzas = expect_type(doc.get("pools", {}), dict, "pools")
     pools = {pid: build_pool(pid, stanza) for pid, stanza in stanzas.items()}
-    declared = set(assets)
     for pid, pool in pools.items():
-        if isinstance(pool, MarginPlatform) and pool.venue is not None and pool.venue not in pools:
-            raise ConfigError(f"pool {pid!r}: venue {pool.venue!r} not defined")
-        if declared:
-            referenced = {
-                getattr(pool, name)
-                for name in ("asset", "asset_x", "asset_y", "collateral_asset",
-                             "debt_asset", "short_asset")
-                if getattr(pool, name, None) is not None
-            }
-            stray = referenced - declared
-            if stray:
-                raise ConfigError(f"pool {pid!r}: undeclared asset(s) {sorted(stray)}")
+        symbols = [(name, domain, getattr(pool, attribute))
+                   for name, (attribute, domain, *_) in _POOL_TYPES[stanzas[pid]["type"]][1].items()]
+        for name, domain, symbol in symbols:
+            if domain == POOL and symbol is not None and symbol not in pools:
+                raise ConfigError(f"pool {pid!r}: {name} {symbol!r} not defined")
+        stray = {symbol for _, domain, symbol in symbols if domain == ASSET} - declared
+        if declared and stray:
+            raise ConfigError(f"pool {pid!r}: undeclared asset(s) {sorted(stray)}")
     return WorldState(balances, pools)
 
 

@@ -265,8 +265,13 @@ def test_built_in_vector_refuses_what_its_closed_form_leaves_out(runner, tmp_pat
 
 # Pool figures the models divide by, and a reserve quote past the float range: these ended in a
 # ZeroDivisionError or OverflowError traceback, in numpy warnings with exit 0, or in exit 2 with
-# only "every start failed to evaluate".
+# only "every start failed to evaluate".  A negative collateral factor, leverage or flash-loan
+# liquidity was solved as given: exit 0 with a "feasible" optimum, or exit 1 on an inverted box.
 UNLOADABLE_POOLS = {
+    "paa-lending-cf-negative": ("pump_arbitrage", "lending", {"cf": -1.0}, "cf must be in [0, 1], got -1.0"),
+    "paa-margin-leverage-negative": ("pump_arbitrage", "margin", {"leverage": -1.0},
+                                     "leverage must be positive, got -1.0"),
+    "paa-flash-vx-negative": ("pump_arbitrage", "flash", {"vX": -1.0}, "vX must be non-negative, got -1.0"),
     "paa-margin-ocr-zero": ("pump_arbitrage", "margin", {"ocr": 0.0}, "ocr must be positive, got 0.0"),
     "paa-amm-ux-zero": ("pump_arbitrage", "amm", {"uX": 0.0}, "uX must be positive, got 0.0"),
     "paa-amm-uy-zero": ("pump_arbitrage", "amm", {"uY": 0.0}, "uY must be positive, got 0.0"),
@@ -285,13 +290,13 @@ UNLOADABLE_POOLS = {
 
 @pytest.mark.parametrize("command", ["evaluate", "describe", "optimize"])
 @pytest.mark.parametrize("name, pool, change, error", UNLOADABLE_POOLS.values(), ids=UNLOADABLE_POOLS.keys())
-def test_pool_figure_the_models_cannot_use_exits_2_naming_it(tmp_path, command, name, pool, change, error):
+def test_pool_figure_the_models_cannot_use_exits_2_naming_it(runner, tmp_path, command, name, pool, change, error):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(scenario_text(lambda d: d["pools"][pool].update(change), name))
     vector = {"pump_arbitrage": "paa", "oracle_manipulation": "oracle"}[name]
     extra = {"evaluate": POINTS[vector], "describe": [], "optimize": ["--starts", "2", "--grid-res", "10"]}
-    res = spawn(["-m", "flashsim.cli", command, "--scenario", str(scenario), "--vector", vector, *extra[command]])
-    assert (res.returncode, res.stdout) == (2, "")
+    res = runner.invoke(main, [command, "--scenario", str(scenario), "--vector", vector, *extra[command]])
+    assert (res.exit_code, res.stdout) == (2, "")
     assert res.stderr == f"error: pool {pool!r}: {error}\n"
 
 
