@@ -288,6 +288,8 @@ def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file,
     """Sweep the arbitrage profit difference over intermediary counts."""
     market, market_hash = atomicity.load_market(market_file)
     counts = [int(v) for v in i_values.split(",") if v.strip() != ""]
+    if replay_file is not None and (stream_size, amount_scale, sigma) != (0, 1.0, 1.0):
+        raise ConfigError("--stream-size, --amount-scale and --sigma shape a synthetic stream, not --replay")
     if replay_file is not None:
         stream = atomicity.load_trace(replay_file)
     else:

@@ -16,7 +16,9 @@ scenario means building the vector on it.
 Objectives and constraints take a point or a batch, closed form and replayed
 chain alike: a round's gradients are one call on the 2n stencil rows of
 every start, its constraint Jacobians one call on their n forward steps (the
-residuals at x come from the round before), a scan one call per block.
+residuals at x come from the round before), a scan one call per block.  A
+batch row the chain cannot replay reads objective nan and residuals -inf; a
+start drops out at its first non-finite value, the grid scores it infeasible.
 
 ``grid_oracle`` is the independent check: an exhaustive feasible-box scan
 (plus one local refinement pass) that certifies solver results for 1 to 3
@@ -116,16 +118,11 @@ def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
 
 def _central_difference(f, params: np.ndarray, step: float) -> np.ndarray:
     """Central difference of `f` at each point of a batch ``(k, n)``, from one call on the 2n
-    stencil rows of every point; an EvaluationError's `row` names the point."""
+    stencil rows of every point."""
     k, n = params.shape
     bump = step * np.eye(n)
     stencil = np.concatenate([params[:, None] + bump, params[:, None] - bump], axis=1)
-    try:
-        values = np.asarray(f(stencil.reshape(-1, n)), dtype=float).reshape(k, 2 * n)
-    except EvaluationError as exc:
-        error = EvaluationError(exc.step, f"while differencing coordinate {exc.row % n}: {exc}")
-        error.row = exc.row // (2 * n)
-        raise error from None
+    values = np.asarray(f(stencil.reshape(-1, n)), dtype=float).reshape(k, 2 * n)
     return (values[:, :n] - values[:, n:]) / (2.0 * step)
 
 
@@ -133,7 +130,7 @@ def _forward_jacobian(f, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, f0: np.n
     """SciPy's 2-point Jacobian of `f` for SLSQP, bit for bit, at each point of a batch ``(k, n)``
     whose values at the clipped points are `f0` ``(k, m)``: one call on the n forward steps of
     every point, sqrt(eps), relative where x + sqrt(eps) == x, reversed or cut short at the box.
-    Returns ``(k, m, n)``; an EvaluationError's `row` names the point."""
+    Returns ``(k, m, n)``."""
     x = np.clip(x, lo, hi)
     h = np.where(x + _SQRT_EPS == x, _SQRT_EPS * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x)), _SQRT_EPS)
     below, above = x - lo, hi - x
@@ -142,11 +139,7 @@ def _forward_jacobian(f, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, f0: np.n
     k, n = x.shape
     rows = np.repeat(x[:, None], n, axis=1)
     rows[:, np.arange(n), np.arange(n)] = x + h
-    try:
-        values = f(rows.reshape(-1, n)).reshape(k, n, f0.shape[1])
-    except EvaluationError as exc:
-        exc.row //= n
-        raise
+    values = f(rows.reshape(-1, n)).reshape(k, n, f0.shape[1])
     return ((values - f0[:, None]) / ((x + h) - x)[:, :, None]).transpose(0, 2, 1)
 
 
@@ -181,26 +174,15 @@ class _Lane:
         self.failed = False
 
 
-def _surviving(lanes: list[_Lane], evaluate) -> list:
-    """(lane, value) pairs of `evaluate(lanes)`, re-run without each lane whose point raises
-    EvaluationError (its `row` indexes `lanes`), as a per-start solve would skip that start."""
-    while lanes:
-        try:
-            return list(zip(lanes, evaluate(lanes)))
-        except EvaluationError as exc:
-            lanes[exc.row].failed = True
-            lanes = lanes[:exc.row] + lanes[exc.row + 1:]
-    return []
-
-
 def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(end point, iterations) of SciPy's SLSQP from each start whose evaluations all succeed.
+    """(end point, iterations) of SciPy's SLSQP from each start whose evaluations are all finite.
 
     Every start is a lane of SciPy's reverse-communication core, which `minimize` loops over
     one start at a time; here each round calls the core once per running lane, then evaluates
     the points the lanes asked for in one batch.  Each lane sees what `_minimize_slsqp` gives
     it: f and g at the clipped start, f, residuals and g at the core's x, the constraint
-    Jacobian at x clipped to the box, and only the coordinates that the bounds leave free."""
+    Jacobian at x clipped to the box, and only the coordinates that the bounds leave free.
+    A lane is dropped at its first non-finite objective, residual, gradient or Jacobian entry."""
     lo, hi = np.array(prob.bounds, dtype=float).T
     xl, xu = lo[free], hi[free]
     m = len(prob.constraints)
@@ -218,39 +200,40 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list
         return prob.residuals(full(x))
 
     def ask_f(lanes):
-        def evaluate(kept):
-            x = np.array([lane.x for lane in kept])
-            return zip(x, objective(x), residuals(x))
-        for lane, (x, f, r) in _surviving(lanes, evaluate):
-            lane.f, lane.at, lane.r = -float(f), x, r
-            lane.d[:m] = r
+        if not lanes:
+            return
+        x = np.array([lane.x for lane in lanes])
+        f, r = objective(x), residuals(x)
+        for lane, at, value, res, ok in zip(lanes, x, f, r, np.isfinite(f) & np.isfinite(r).all(axis=1)):
+            lane.f, lane.at, lane.r, lane.failed = -float(value), at, res, not ok
+            lane.d[:m] = res
 
     def ask_g(lanes):
-        def residuals_at(kept):  # residuals at a clipped point the lane's last f did not take
-            x = np.array([np.clip(lane.x, xl, xu) for lane in kept])
-            return zip(x, residuals(x))
-        for lane, (x, r) in _surviving([lane for lane in lanes if not np.array_equal(
-                np.clip(lane.x, xl, xu), lane.at)], residuals_at):
-            lane.at, lane.r = x, r
-        gradients = _surviving([lane for lane in lanes if not lane.failed], lambda kept: -_central_difference(
-            objective, np.array([lane.x for lane in kept]), FD_STEP))
-        jacobians = _surviving([lane for lane, _ in gradients], lambda kept: _forward_jacobian(
-            residuals, np.array([lane.x for lane in kept]), xl, xu, np.array([lane.r for lane in kept])))
-        for lane, g in gradients:
-            lane.g = g
-        for lane, jacobian in jacobians:
+        moved = [lane for lane in lanes if not np.array_equal(np.clip(lane.x, xl, xu), lane.at)]
+        if moved:  # residuals at a clipped point the lane's last f did not take
+            x = np.array([np.clip(lane.x, xl, xu) for lane in moved])
+            r = residuals(x)
+            for lane, at, res, ok in zip(moved, x, r, np.isfinite(r).all(axis=1)):
+                lane.at, lane.r, lane.failed = at, res, not ok
+        lanes = [lane for lane in lanes if not lane.failed]
+        if not lanes:
+            return
+        x = np.array([lane.x for lane in lanes])
+        g = -_central_difference(objective, x, FD_STEP)
+        jacobians = _forward_jacobian(residuals, x, xl, xu, np.array([lane.r for lane in lanes]))
+        finite = np.isfinite(g).all(axis=1) & np.isfinite(jacobians).all(axis=(1, 2))
+        for lane, gradient, jacobian, ok in zip(lanes, g, jacobians, finite):
+            lane.g, lane.failed = gradient, not ok
             lane.C[:m] = jacobian
 
-    lanes = [_Lane(x0.copy(), m) for x0 in np.clip(starts[:, free], xl, xu)]
-    ask_f(lanes)
-    ask_g([lane for lane in lanes if not lane.failed])
-    running = [lane for lane in lanes if not lane.failed]
-    while running:
+    running = lanes = [_Lane(x0.copy(), m) for x0 in np.clip(starts[:, free], xl, xu)]
+    while running:  # mode 1 asks for f, -1 for g, and 0 on entry for both
+        ask_f([lane for lane in running if lane.state["mode"] != -1])
+        ask_g([lane for lane in running if lane.state["mode"] != 1 and not lane.failed])
+        running = [lane for lane in running if not lane.failed]
         for lane in running:
             _slsqp(lane.state, lane.f, lane.g, lane.C, lane.d, lane.x, lane.mult, xl, xu, lane.buffer, lane.indices)
-        ask_f([lane for lane in running if lane.state["mode"] == 1])
-        ask_g([lane for lane in running if lane.state["mode"] == -1])
-        running = [lane for lane in running if abs(lane.state["mode"]) == 1 and not lane.failed]
+        running = [lane for lane in running if abs(lane.state["mode"]) == 1]
     return [(full(lane.x[None])[0], lane.state["iter"]) for lane in lanes if not lane.failed]
 
 
@@ -259,8 +242,8 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
 
     Multi-start over a seeded Latin hypercube; returns the best feasible
     point, or an explicitly infeasible result (never a silent zero) when no
-    start lands within the scaled feasibility tolerance.  A start whose
-    evaluation fails is skipped; parameters fixed by their bounds stay at them.
+    start lands within the scaled feasibility tolerance.  A start is dropped
+    at its first non-finite value; parameters fixed by their bounds stay at them.
     """
     if starts < 1:
         raise ConfigError(f"starts must be >= 1, got {starts}")

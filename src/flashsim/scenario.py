@@ -123,11 +123,13 @@ def build_pool(pool_id: str, stanza: dict) -> Pool:
 
 def scenario_from_dict(doc: dict) -> WorldState:
     """Build the step-0 world state from a parsed scenario document."""
-    assets = expect_type(doc, dict, "scenario").get("assets", [])
-    if (not isinstance(assets, list) or not all(isinstance(a, str) and a for a in assets)
-            or len(set(assets)) != len(assets)):
-        raise ConfigError("assets must be unique non-empty symbols")
-    declared = set(assets)
+    doc = expect_type(doc, dict, "scenario")
+    for key, what in (("assets", "symbols"), ("entities", "names")):
+        names = doc.get(key, [])
+        if (not isinstance(names, list) or not all(isinstance(a, str) and a for a in names)
+                or len(set(names)) != len(names)):
+            raise ConfigError(f"{key} must be unique non-empty {what}")
+    declared, entities = set(doc.get("assets", [])), set(doc.get("entities", []))
     balances: dict[tuple[str, str], float] = {}
     for entity, per_asset in expect_type(doc.get("balances", {}), dict, "balances").items():
         for asset, amount in expect_type(per_asset, dict, f"balances of {entity!r}").items():
@@ -136,6 +138,8 @@ def scenario_from_dict(doc: dict) -> WorldState:
                 raise ConfigError(f"negative initial balance for {entity}/{asset}")
             if declared and asset not in declared:
                 raise ConfigError(f"balance of {entity}/{asset}: undeclared asset {asset!r}")
+            if entities and entity not in entities:
+                raise ConfigError(f"balance of {entity}/{asset}: undeclared entity {entity!r}")
             balances[(entity, asset)] = amount
     stanzas = expect_type(doc.get("pools", {}), dict, "pools")
     pools = {pid: build_pool(pid, stanza) for pid, stanza in stanzas.items()}

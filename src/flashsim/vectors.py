@@ -50,13 +50,11 @@ from .models import (
 
 class EvaluationError(Exception):
     """A step of the replay failed: a non-finite or undefined intermediate
-    value, or a call on a position that does not exist; `row` is the row of
-    a replayed batch that failed."""
+    value, or a call on a position that does not exist."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
         self.step = step
-        self.row = 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +269,14 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
     return EvaluationTrace(tuple(states), tuple(residuals), gain)
 
 
-def replay_table(vector: AttackVector, scenario: WorldState) -> Callable[[np.ndarray], np.ndarray]:
-    """`table(P)`: objective, then every residual, at each point of ``(..., n)``,
-    as ``(..., 1 + residuals)``, from one call per row of the module's
-    `evaluate` (tests and the traced benchmark patch that name).  The last
-    table of each batch shape is kept, so the objective and residuals of a
-    point or batch share its replays even when a batch of another shape (a
-    gradient's stencil) is read in between."""
+def replay_table(vector: AttackVector, scenario: WorldState, width: int) -> Callable[[np.ndarray], np.ndarray]:
+    """`table(P)`: objective, then every residual, at each point of ``(..., n)``, as
+    ``(..., width)``, from one call per row of the module's `evaluate` (tests and the
+    traced benchmark patch that name).  A row the chain cannot replay reads objective nan
+    and every residual -inf; a single point ``(n,)`` raises as `evaluate` does.  The last
+    table of each batch shape is kept, so the objective and residuals of a point or batch
+    share its replays even when a batch of another shape (a gradient's stencil) is read
+    in between."""
     last: dict[tuple, tuple[bytes, np.ndarray]] = {}
 
     def table(p) -> np.ndarray:
@@ -287,15 +286,15 @@ def replay_table(vector: AttackVector, scenario: WorldState) -> Callable[[np.nda
         if cached is not None and cached[0] == key:
             return cached[1]
         points = p.reshape(-1, p.shape[-1])
+        values = np.empty((len(points), width))
         for i, point in enumerate(points):
             try:
                 trace = evaluate(vector, scenario, point)
-            except EvaluationError as exc:
-                exc.row = i
-                raise
-            if i == 0:  # the first replay gives the width; rows go straight into the table
-                values = np.empty((len(points), 1 + len(trace.residuals)))
-            values[i] = [trace.objective_value, *(res.value for res in trace.residuals)]
+                values[i] = [trace.objective_value, *(res.value for res in trace.residuals)]
+            except EvaluationError:
+                if p.ndim == 1:
+                    raise
+                values[i] = [math.nan] + [-math.inf] * (width - 1)
         values = values.reshape(*p.shape[:-1], -1)
         last[p.shape] = (key, values)
         return values
@@ -584,22 +583,23 @@ def describe(vector: AttackVector) -> dict:
     }
 
 
-def _probe_constraints(vector: AttackVector, scenario: WorldState, table: Callable) -> tuple[ConstraintSpec, ...]:
+def _probe_constraints(vector: AttackVector, probe: EvaluationTrace, table: Callable) -> tuple[ConstraintSpec, ...]:
     """Mechanically derive constraints for a user vector from a probe replay.
 
-    Linearity is decided numerically: a residual is classified linear when
-    it is affine along random segments of the parameter box, whose ends and
-    midpoints are one batch of `table`.
+    Linearity is decided numerically: a residual is classified linear when it is affine
+    along random segments of the parameter box, whose ends and midpoints are one batch
+    of `table`; a segment with a point the chain cannot replay counts as curved.
     """
     lo, hi = np.array(vector.bounds, dtype=float).T
-    probe = evaluate(vector, scenario, lo + 0.25 * (hi - lo))
     rng = np.random.default_rng(11)
     ends = np.array([lo + rng.random(vector.n_params) * (hi - lo) * 0.5 for _ in range(3)])
     values = table(np.concatenate([ends, 0.5 * (ends + np.roll(ends, -1, axis=0))]))[:, 1:]
     fa, fmid = values[:3], values[3:]
     fb = np.roll(fa, -1, axis=0)
     scale = np.maximum(1.0, np.maximum(abs(fa), abs(fb)))
-    curved = (abs(0.5 * (fa + fb) - fmid) > 1e-7 * scale).any(axis=0)
+    with np.errstate(invalid="ignore"):  # -inf - -inf at a failed row
+        gap = abs(0.5 * (fa + fb) - fmid)
+    curved = ~((gap <= 1e-7 * scale) & np.isfinite(gap)).all(axis=0)
 
     def residual_fn(index: int):
         return lambda p: table(p)[..., 1 + index]
@@ -666,6 +666,7 @@ def parse_vector(doc: dict, scenario: WorldState) -> AttackVector:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad vector description: {exc}") from None
-    table = replay_table(vector, scenario)
-    return replace(vector, constraints=_probe_constraints(vector, scenario, table),
+    probe = evaluate(vector, scenario, [lo + 0.25 * (hi - lo) for lo, hi in vector.bounds])
+    table = replay_table(vector, scenario, 1 + len(probe.residuals))
+    return replace(vector, constraints=_probe_constraints(vector, probe, table),
                    objective=lambda p: table(p)[..., 0])

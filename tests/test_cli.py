@@ -320,6 +320,10 @@ UNUSABLE_OPTIONS = {
     "bound-not-a-parameter": [*OPTIMIZE_PAA, "--bound", "q1:0:1"],
     "bound-p0": [*OPTIMIZE_PAA, "--bound", "p0:0:1"],
     "scenario-missing": ["evaluate", "--scenario", "no-such-scenario.json", "--vector", "paa", "1", "1"],
+    # a replayed trace ignored these, yet the report echoed them into its config hash
+    "replay-stream-size": [*ATOMICITY, "--replay", str(TRACE), "--stream-size", "3"],
+    "replay-amount-scale": [*ATOMICITY, "--replay", str(TRACE), "--amount-scale", "9"],
+    "replay-sigma": [*ATOMICITY, "--replay", str(TRACE), "--sigma", "5"],
 }
 
 
@@ -482,6 +486,27 @@ class TestOptimize:
         solver = json.loads(res.output)["results"]["solver"]
         # replay-backed objective, mechanically derived constraints
         assert solver["best_objective"] >= 2778.94 * 0.95
+
+    @pytest.mark.parametrize("chain, scenario, args, grid_objective", [
+        # the ETH balance overflows past p1 of about 1e306
+        ((GOLDEN / "describe_paa.json").read_text(), "pump_arbitrage",
+         ["--bound", "p1:0:1e306", "--starts", "4", "--grid-res", "10"], 0.0),
+        # the reserve quote overflows at large p2
+        (oracle_chain_text(2), "oracle_manipulation",
+         ["--bound", "p2:0:1e6", "--starts", "4", "--grid-res", "12"], 7850.00),
+    ], ids=["paa", "oracle"])
+    def test_point_the_chain_cannot_replay_is_infeasible(self, runner, tmp_path, chain, scenario, args,
+                                                         grid_objective):
+        # both exited 2 naming the failing step, the grid aborting at its first such point
+        vector_file = tmp_path / "chain.json"
+        vector_file.write_text(chain)
+        res = runner.invoke(main, ["--format", "structured", "--seed", "0", "optimize", "--scenario", scenario,
+                                   "--vector", str(vector_file), *args])
+        assert res.exit_code == 1, res.output
+        results = json.loads(res.stdout)["results"]
+        assert not results["solver"]["feasible"]
+        assert results["grid"]["feasible"]
+        assert results["grid"]["best_objective"] == pytest.approx(grid_objective, abs=0.01)
 
 
 class TestEvaluate:

@@ -97,20 +97,27 @@ def assert_grid_matches_full_mesh(vector, resolution, ignore=()):
 
 def minimize_reference(vector, ignore=(), starts=16, seed=0):
     """The solver as one `scipy.optimize.minimize(method="SLSQP")` call per start, with SciPy
-    differencing the constraints itself: the reference for the lockstep driver.  Returns the
-    best params, objective and max violation, the iterations and the number of starts skipped."""
+    differencing the constraints itself: the reference for the lockstep driver.  A start is
+    skipped at its first point that fails to evaluate or has a non-finite objective, residual
+    or gradient.  Returns the best params, objective and max violation, the iterations and
+    the number of starts skipped."""
     prob = problem(vector, ignore)
     lo, hi = np.array(vector.bounds, dtype=float).T
     n, step = len(lo), FD_STEP
 
+    def finite(values):
+        if not np.isfinite(values).all():
+            raise EvaluationError(0, f"non-finite {values}")
+        return values
+
     def neg_obj(p):
-        return -float(prob.objective(p))
+        return -float(finite(prob.objective(p)))
 
     def grad_neg(p):
         values = np.asarray(prob.objective(np.concatenate([p + step * np.eye(n), p - step * np.eye(n)])))
-        return -(values[:n] - values[n:]) / (2.0 * step)
+        return -finite((values[:n] - values[n:]) / (2.0 * step))
 
-    constraints = [{"type": "ineq", "fun": prob.residuals}] if prob.constraints else []
+    constraints = [{"type": "ineq", "fun": lambda p: finite(prob.residuals(p))}] if prob.constraints else []
     ends, iterations, skipped = [], 0, 0
     for x0 in latin_hypercube(starts, vector.bounds, seed):
         try:
@@ -131,17 +138,19 @@ def minimize_reference(vector, ignore=(), starts=16, seed=0):
     return tuple(float(v) for v in x), value, worst, iterations, skipped
 
 
+def nan_past_80(p):
+    """2 p1 + 3 p2 at a point or batch, nan past p1 = 80."""
+    p = np.asarray(p, dtype=float)
+    return np.where(p[..., 0] > 80.0, np.nan, 2.0 * p[..., 0] + 3.0 * p[..., 1])
+
+
 def capped_linear_vector():
-    """Maximize 2 p1 + 3 p2 with p1 <= 50; the objective fails to evaluate past p1 = 80 and
-    names the first failing row of a batch, as a replayed chain does."""
+    """Maximize 2 p1 + 3 p2 with p1 <= 50; the objective fails to evaluate past p1 = 80 as a
+    replayed chain does: nan in the rows of a batch, EvaluationError at a single point."""
     def objective(p):
-        p = np.asarray(p, dtype=float)
-        failing = np.flatnonzero(p.reshape(-1, 2)[:, 0] > 80.0)
-        if failing.size:
-            exc = EvaluationError(1, "p1 past 80")
-            exc.row = int(failing[0])
-            raise exc
-        return 2.0 * p[..., 0] + 3.0 * p[..., 1]
+        if np.ndim(p) == 1 and p[0] > 80.0:
+            raise EvaluationError(1, "p1 past 80")
+        return nan_past_80(p)
     cap = ConstraintSpec("cap", "p1 <= 50", 1, True, lambda p: 50.0 - np.asarray(p)[..., 0])
     return replace(linear_test_vector(), constraints=(cap,), objective=objective)
 
@@ -179,6 +188,18 @@ class TestLockstepMatchesMinimize:
     def test_only_the_starts_that_fail_are_skipped(self):
         skipped = self.assert_matches(capped_linear_vector(), seed=1)
         assert 0 < skipped < 16
+
+    def test_closed_form_lane_is_dropped_at_its_first_nan(self):
+        # a closed form is nan past p1 = 80 at a point and in a batch alike; lanes once ran through it
+        vector = replace(capped_linear_vector(), objective=nan_past_80)
+        skipped = [self.assert_matches(vector, seed=seed) for seed in range(4)]
+        assert all(0 < count < 16 for count in skipped)
+
+    def test_described_lane_is_dropped_where_the_chain_cannot_replay(self, paa, paa_state):
+        # past p1 of about 1e306 the replay overflows; those rows read nan and -inf
+        described = parse_vector(describe(paa), paa_state)
+        skipped = self.assert_matches(with_bounds(described, {0: (0.0, 1e306)}), seed=0, starts=4)
+        assert 0 < skipped < 4
 
     def test_jacobian_reuses_the_replay_of_the_objective(self, paa, paa_state, monkeypatch):
         # SLSQP asks for a Jacobian only where it has just asked for the residuals

@@ -69,6 +69,8 @@ def add_pool(pool_id, stanza, **change):
     (lambda d: d["assets"].append("ETH"), "unique"),
     (lambda d: d["balances"]["adversary"].update(ETH=-1.0), "negative"),
     (lambda d: d["balances"]["adversary"].update(ETh=5.0), re.escape("balance of adversary/ETh: undeclared asset 'ETh'")),
+    (lambda d: d.update(entities=["adversary"], balances={"advrsary": {"ETH": 5.0}}),
+     re.escape("balance of advrsary/ETH: undeclared entity 'advrsary'")),
     (lambda d: d["pools"]["flash"].pop("vX"), "missing field"),
     (lambda d: d["pools"]["flash"].update(type="ponzi"), "unknown type"),
     (lambda d: d["pools"]["amm"].update(x="DOGE"), "undeclared"),

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flashsim import vectors
 from flashsim.models import ConfigError
@@ -24,6 +26,7 @@ from flashsim.vectors import (
     format_binding,
     parse_binding,
     parse_vector,
+    replay_table,
     with_bounds,
 )
 
@@ -254,6 +257,19 @@ class TestDescription:
         assert not linear["s3_price_cap"]
         assert not linear["s5_debt_liquidity"]
 
+    def test_probe_segment_the_chain_cannot_replay_is_curved(self, paa, paa_state, monkeypatch):
+        replay, replays = vectors.evaluate, []
+
+        def probe_replays_only(*args):  # the probe point replays; every segment row fails
+            if replays:
+                raise EvaluationError(4, "ETH balance overflowed")
+            replays.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(vectors, "evaluate", probe_replays_only)
+        parsed = parse_vector(describe(paa), paa_state)
+        assert len(parsed.constraints) == 9 and not any(c.linear for c in parsed.constraints)
+
     def test_one_replay_per_point(self, paa_state, monkeypatch):
         replays = []
         replay = vectors.evaluate
@@ -311,6 +327,47 @@ class TestDescription:
             assert np.array_equal(fn(batch), column)  # bitwise, shape (2, 3)
             point = fn(batch[1, 2])
             assert np.ndim(point) == 0 and point == column[1][2]
+
+    @pytest.mark.parametrize("name, failing", [
+        ("paa", [[1.0, 0.0], [0.0, 0.0]]),  # the ETH balance overflows at p1 = 1e308
+        ("oracle", [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),  # the reserve quote overflows at p2 = 1e308
+    ])
+    def test_table_rows_are_the_scalar_replays(self, name, failing, request):
+        # a row the chain cannot replay reads nan and -inf; a ConfigError at any row stays fatal
+        vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
+        parsed = parse_vector(describe(vector), state)
+        table = replay_table(parsed, state, 1 + len(parsed.constraints))
+        seen = set()
+        unit = st.lists(st.floats(0.0, 1.0), min_size=parsed.n_params, max_size=parsed.n_params)
+
+        @settings(max_examples=60, deadline=None)
+        @given(exponent=st.integers(0, 308), units=st.lists(unit, min_size=1, max_size=4))
+        @example(exponent=308, units=failing)
+        def rows_match(exponent, units):
+            batch = np.array(units) * 10.0 ** exponent  # points in [0, 10 ** exponent]
+            expected = []
+            for point in batch:
+                try:
+                    trace = evaluate(parsed, state, point)
+                except EvaluationError:
+                    seen.add("failed")
+                    expected.append(None)
+                    continue
+                except ConfigError:
+                    seen.add("config")
+                    with pytest.raises(ConfigError):
+                        table(batch)
+                    return
+                seen.add("replayed")
+                expected.append([trace.objective_value, *(r.value for r in trace.residuals)])
+            for row, values in zip(table(batch), expected, strict=True):
+                if values is None:
+                    assert math.isnan(row[0]) and (row[1:] == -math.inf).all()
+                else:
+                    assert row.tobytes() == np.array(values).tobytes()  # bitwise
+
+        rows_match()
+        assert {"replayed", "failed"} <= seen
 
     def test_unknown_endpoint_rejected(self, paa, paa_state):
         doc = describe(paa)
