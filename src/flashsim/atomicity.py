@@ -146,13 +146,13 @@ def _check_counts(i_values: Sequence[int], have: int) -> int:
 
 
 def _fill(buffer: _Block, lanes: Iterable[tuple[np.ndarray, np.ndarray]]) -> _Block:
-    """Write lanes of (codes, amounts) into the first columns of `buffer`, cut
-    to its steps; the filled columns.  Each lane is written in as it arrives,
-    so only one lane's draws exist besides the buffer."""
+    """Write lanes of (codes, amounts), each as long as `buffer`'s steps, into
+    its first columns; the filled columns.  Each lane is written in as it
+    arrives, so only one lane's draws exist besides the buffer."""
     codes, amounts = buffer
     for count, (code, amount) in enumerate(lanes, start=1):
-        codes[:, count - 1] = code[:len(codes)]
-        amounts[:, count - 1] = amount[:len(codes)]
+        codes[:, count - 1] = code
+        amounts[:, count - 1] = amount
     return codes[:, :count], amounts[:, :count]
 
 
@@ -213,7 +213,8 @@ def _replay(
 
 @dataclass(frozen=True)
 class SyntheticStream:
-    """Seeded random-walk intermediary flow; trial t draws substream (seed, t)."""
+    """Seeded random-walk intermediary flow; trial t draws substream (seed, t),
+    whose first n events are the same whatever the stream's size."""
 
     seed: int
     size: int
@@ -229,20 +230,21 @@ class SyntheticStream:
             raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
 
     def events(self, trial: int = 0) -> tuple[TradeEvent, ...]:
-        codes, amounts = self._draws(trial)
+        codes, amounts = self._draws(trial, self.size)
         return tuple(
             TradeEvent("ab"[c >> 1], ("XY", "YX")[c & 1], float(a))
             for c, a in zip(codes.tolist(), amounts)
         )
 
-    def _draws(self, trial: int) -> tuple[np.ndarray, np.ndarray]:
-        """Trial `trial`'s events as arrays: row code and amount.  A scale near
-        the float limit can overflow an amount to inf; the replay refuses it."""
-        rng = np.random.default_rng((self.seed, trial))
-        codes = 2 * rng.choice(2, size=self.size)  # the draws of choice(["a", "b"]): the X row
-        codes += rng.choice(2, size=self.size)  # the draws of choice(["XY", "YX"]): X or Y row
+    def _draws(self, trial: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Trial `trial`'s first `count` events as arrays: row code and amount.
+        Event k is row k of one (count, 3) standard-normal draw z: exchange b if
+        z0 > 0, direction YX if z1 > 0, amount amount_scale * exp(sigma * z2).
+        A scale near the float limit can overflow an amount to inf; the replay refuses it."""
+        z = np.random.default_rng((self.seed, trial)).standard_normal((count, 3))
+        codes = 2 * (z[:, 0] > 0) + (z[:, 1] > 0)
         with np.errstate(over="ignore"):
-            amounts = self.amount_scale * rng.lognormal(mean=0.0, sigma=self.sigma, size=self.size)
+            amounts = self.amount_scale * np.exp(self.sigma * z[:, 2])
         return codes, amounts
 
     def _blocks(self, trials: int, steps: int) -> Iterator[_Block]:
@@ -251,7 +253,7 @@ class SyntheticStream:
         shape = steps, min(trials, _LANES)
         buffer = np.empty(shape, dtype=np.uint8), np.empty(shape)
         for first in range(0, trials, _LANES):
-            yield _fill(buffer, (self._draws(t) for t in range(first, min(first + _LANES, trials))))
+            yield _fill(buffer, (self._draws(t, steps) for t in range(first, min(first + _LANES, trials))))
 
 
 @dataclass(frozen=True)
@@ -349,7 +351,9 @@ def sweep(
     """Mean and 95% bootstrap CI (1,000 resamples) of the profit difference per intermediary count.
 
     Each trial replays one stream; all i-values share a trial's stream so
-    the profit difference accumulates along a common path.  Trials run as
+    the profit difference accumulates along a common path.  A synthetic
+    trial's first i events do not depend on how many are drawn, so no row
+    depends on the other i-values.  Trials run as
     lanes of one lockstep replay, each once over the sorted i-values; every
     row, a repeated i-value's too, rests on exactly `trials` samples.
     """

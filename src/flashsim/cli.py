@@ -68,11 +68,7 @@ def _resolve_scenario(value: str):
         raise _neither("--scenario", value, "bundled scenario", BUILTIN_SCENARIOS) from None
 
 
-def _resolve_vector(value: str, state, zy_cap: bool) -> AttackVector:
-    if zy_cap and value != "oracle":
-        raise ConfigError("--zy-cap only applies to the oracle vector")
-    if value == "oracle":
-        return BUILTIN_VECTORS[value](state, zy_cap=zy_cap)
+def _resolve_vector(value: str, state) -> AttackVector:
     if value in BUILTIN_VECTORS:
         return BUILTIN_VECTORS[value](state)
     try:
@@ -111,6 +107,9 @@ def _result_text(label: str, res: OptimizationResult) -> list[str]:
 @click.pass_context
 def main(ctx, seed, fmt, strict):
     """Deterministic DeFi trading simulator, optimizer, and analytics."""
+    with _unusable_input():
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
     ctx.obj = {"seed": seed, "format": fmt, "strict": strict}
 
 
@@ -147,13 +146,12 @@ def _command(name: str):
 @click.option("--vector", "vector_name", required=True, help="Built-in vector (paa, oracle) or description file.")
 @click.option("--ignore-constraint", "ignored", multiple=True, help="Constraint name to drop from the solve.")
 @click.option("--bound", "bound_overrides", multiple=True, help="Parameter bound override pN:LOW:HIGH.")
-@click.option("--zy-cap", is_flag=True, help="Clamp the oracle vector's drawn amount to lender liquidity.")
 @click.option("--starts", default=16, show_default=True)
 @click.option("--grid-res", default=0, help="Grid oracle resolution (0 = auto by dimension).")
-def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, starts, grid_res):
+def optimize(obj, scenario, vector_name, ignored, bound_overrides, starts, grid_res):
     """Solve for profit-maximizing parameters, certified by the grid oracle."""
     state, scenario_hash = _resolve_scenario(scenario)
-    vector = with_bounds(_resolve_vector(vector_name, state, zy_cap),
+    vector = with_bounds(_resolve_vector(vector_name, state),
                          dict(_parse_bound(b) for b in bound_overrides))
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
     if vector.n_params <= 3 and resolution < 2:  # the grid's own check, before any work
@@ -190,7 +188,7 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, start
 
     config_echo = {
         "scenario": scenario, "vector": vector_name, "ignore": sorted(ignored),
-        "bounds": sorted(bound_overrides), "zy_cap": zy_cap, "starts": starts, "grid_res": resolution,
+        "bounds": sorted(bound_overrides), "starts": starts, "grid_res": resolution,
     }
     results = {
         "solver": best.as_dict(),
@@ -229,12 +227,11 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, zy_cap, start
 @_command("evaluate")
 @click.option("--scenario", required=True)
 @click.option("--vector", "vector_name", required=True)
-@click.option("--zy-cap", is_flag=True)
 @click.argument("params", nargs=-1, type=float, required=True)
-def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
+def evaluate_cmd(obj, scenario, vector_name, params):
     """Replay a vector at fixed parameters and print the full trace."""
     state, scenario_hash = _resolve_scenario(scenario)
-    vector = _resolve_vector(vector_name, state, zy_cap)
+    vector = _resolve_vector(vector_name, state)
     if len(params) != vector.n_params:
         raise ConfigError(f"vector {vector.name!r} needs {vector.n_params} parameter(s)")
     trace = evaluate(vector, state, params)
@@ -252,7 +249,7 @@ def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
     violated = [r for r in residual_rows if not r["satisfied"]]
 
     config_echo = {"scenario": scenario, "vector": vector_name, "params": list(params),
-                   "zy_cap": zy_cap, "strict": obj["strict"]}
+                   "strict": obj["strict"]}
     results = {"objective": trace.objective_value, "objective_name": vector.objective_name,
                "steps": step_rows, "residuals": residual_rows,
                "violated_count": len(violated)}
@@ -280,28 +277,25 @@ def evaluate_cmd(obj, scenario, vector_name, zy_cap, params):
 @click.option("--i-values", default="0,10,100", show_default=True, help="Comma-separated intermediary counts.")
 @click.option("--trials", default=100, show_default=True)
 @click.option("--replay", "replay_file", default=None, help="Replay trace file instead of synthetic flow.")
-@click.option("--stream-size", default=0, help="Synthetic stream length (default: max of --i-values).")
 @click.option("--amount-scale", default=1.0, show_default=True)
 @click.option("--sigma", default=1.0, show_default=True)
-def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file,
-                  stream_size, amount_scale, sigma):
+def atomicity_cmd(obj, market_file, budget, i_values, trials, replay_file, amount_scale, sigma):
     """Sweep the arbitrage profit difference over intermediary counts."""
     market, market_hash = atomicity.load_market(market_file)
-    counts = [int(v) for v in i_values.split(",") if v.strip() != ""]
-    if replay_file is not None and (stream_size, amount_scale, sigma) != (0, 1.0, 1.0):
-        raise ConfigError("--stream-size, --amount-scale and --sigma shape a synthetic stream, not --replay")
+    fields = [v.strip() for v in i_values.split(",") if v.strip()]
+    if not all(v.isdecimal() for v in fields):
+        raise ConfigError(f"bad --i-values {i_values!r}, expected non-negative integers")
+    counts = list(map(int, fields))
+    if replay_file is not None and (amount_scale, sigma) != (1.0, 1.0):
+        raise ConfigError("--amount-scale and --sigma shape a synthetic stream, not --replay")
     if replay_file is not None:
         stream = atomicity.load_trace(replay_file)
     else:
-        stream = atomicity.SyntheticStream(
-            seed=obj["seed"], size=stream_size or max(counts, default=0),
-            amount_scale=amount_scale, sigma=sigma,
-        )
+        stream = atomicity.SyntheticStream(obj["seed"], max([0, *counts]), amount_scale, sigma)
     rows = atomicity.sweep(market, budget, stream, counts, trials)
 
     config_echo = {"market": market_file, "budget": budget, "i_values": counts,
-                   "trials": trials, "replay": replay_file, "stream_size": stream_size,
-                   "amount_scale": amount_scale, "sigma": sigma}
+                   "trials": trials, "replay": replay_file, "amount_scale": amount_scale, "sigma": sigma}
     results = {"rows": [r.as_dict() for r in rows]}
 
     lines = ["command: atomicity", f"market: {market_file} (sha256 {market_hash[:12]})",
@@ -352,12 +346,11 @@ def classify_cmd(obj, input_file, map_file, prices_file):
 @main.command("describe")
 @click.option("--scenario", required=True)
 @click.option("--vector", "vector_name", required=True)
-@click.option("--zy-cap", is_flag=True)
-def describe_cmd(scenario, vector_name, zy_cap):
+def describe_cmd(scenario, vector_name):
     """Emit a vector's chain in the reusable description-file format."""
     with _unusable_input():
         state, _ = _resolve_scenario(scenario)
-        vector = _resolve_vector(vector_name, state, zy_cap)
+        vector = _resolve_vector(vector_name, state)
     click.echo(json.dumps(describe(vector), indent=2, sort_keys=True))
 
 

@@ -450,14 +450,12 @@ def build_paa_vector(scenario: WorldState) -> AttackVector:
 # Built-in vector: oracle manipulation
 # ---------------------------------------------------------------------------
 
-def build_oracle_vector(scenario: WorldState, zy_cap: bool = False) -> AttackVector:
+def build_oracle_vector(scenario: WorldState) -> AttackVector:
     """Six-step oracle-manipulation chain with free params (p1, p2, p3).
 
     p1 dumps into the price-oracle AMM, p2 into the exponential reserve,
     p3 buys at the fixed market; everything acquired is collateralized at
-    the manipulated AMM rate and the flash loan repaid.  With ``zy_cap``
-    the lender clamps the drawn amount to its liquidity instead of
-    reporting the shortfall as a residual.
+    the manipulated AMM rate and the flash loan repaid.
     """
     flash_id, flash = _unique_pool(scenario, FlashLoanPool)
     amm_id, amm = _unique_pool(scenario, ConstantProductAmm)
@@ -489,13 +487,10 @@ def build_oracle_vector(scenario: WorldState, zy_cap: bool = False) -> AttackVec
         bought = _coord(p, 2) / p_m
         return swapped + converted + bought
 
-    def drawn_x(p):
-        pumped = u_x0 + _coord(p, 0)
-        raw = acquired_y(p) * cf * (pumped / (k / pumped))
-        return np.minimum(raw, z_y) if zy_cap else raw
-
     def objective(p):
-        return drawn_x(p) - _coord(p, 0) - _coord(p, 1) - _coord(p, 2)
+        pumped = u_x0 + _coord(p, 0)
+        drawn = acquired_y(p) * cf * (pumped / (k / pumped))
+        return drawn - _coord(p, 0) - _coord(p, 1) - _coord(p, 2)
 
     constraints = (
         ConstraintSpec("p1", "oracle-pump parameter non-negative", 1, True,
@@ -514,17 +509,14 @@ def build_oracle_vector(scenario: WorldState, zy_cap: bool = False) -> AttackVec
                        lambda p: z_y - acquired_y(p) * cf * np.square(u_x0 + _coord(p, 0)) / k),
     )
 
-    borrow_extra: dict[str, Binding] = {"exchange_rate": CollateralRate(amm_id, 2)}
-    if zy_cap:
-        borrow_extra["debt_cap"] = Literal(z_y)
-
     steps = (
         ActionStep("flash loan", (EndpointCall("flash_loan", flash_id, Params((0, 1, 2))),)),
         ActionStep("pump the oracle pool", (EndpointCall("amm_swap_x_for_y", amm_id, Params((0,))),)),
         ActionStep("convert at the reserve", (EndpointCall("reserve_convert_x_to_y", reserve_id, Params((1,))),)),
         ActionStep("buy at the fixed market", (EndpointCall("sell_x_for_y_fixed", market_id, Params((2,))),)),
         ActionStep("collateralize all holdings", (
-            EndpointCall("collateralized_borrow", lend_id, AllBalance(BUILTIN_ACTOR, y), borrow_extra),
+            EndpointCall("collateralized_borrow", lend_id, AllBalance(BUILTIN_ACTOR, y),
+                         {"exchange_rate": CollateralRate(amm_id, 2)}),
         )),
         ActionStep("flash repay", (EndpointCall("flash_repay", flash_id, Params((0, 1, 2))),)),
     )
@@ -546,7 +538,7 @@ def build_oracle_vector(scenario: WorldState, zy_cap: bool = False) -> AttackVec
     )
 
 
-BUILTIN_VECTORS: dict[str, Callable[..., AttackVector]] = {
+BUILTIN_VECTORS: dict[str, Callable[[WorldState], AttackVector]] = {
     "paa": build_paa_vector,
     "oracle": build_oracle_vector,
 }

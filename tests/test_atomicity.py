@@ -176,6 +176,19 @@ def test_identity_holds_on_every_outcome(seed, i, budget):
     assert outcome.profit_difference == outcome.aarb - (outcome.naarb - outcome.hv)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 10_000),
+    amount_scale=st.floats(1e-300, 1e308),
+    sigma=st.floats(0.0, 1e308),
+    sizes=st.lists(st.integers(0, 50), min_size=2, max_size=2).map(sorted),
+)
+def test_first_events_do_not_depend_on_the_stream_size(seed, trial, amount_scale, sigma, sizes):
+    short, long = (SyntheticStream(seed, size, amount_scale, sigma).events(trial) for size in sizes)
+    assert long[:sizes[0]] == short
+
+
 class TestSweep:
     def test_zero_row_is_all_zero(self):
         rows = sweep(market(), 2.0, SyntheticStream(seed=5, size=10), [0], trials=20)
@@ -361,10 +374,10 @@ class TestLockstepSweep:
     def test_overflowed_draw_is_refused_where_it_is_replayed(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            events = SyntheticStream(seed=0, size=3, amount_scale=1e308).events(1)
-        assert events[2].amount == np.inf
-        with pytest.raises(ConfigError, match=r"^profit difference at i=3 is not finite"):
-            non_atomic_arbitrage(market(), 2.0, events, 3)
+            events = SyntheticStream(seed=0, size=8, amount_scale=1e308).events(1)
+        first = next(i for i, event in enumerate(events, start=1) if event.amount == np.inf)
+        with pytest.raises(ConfigError, match=rf"^profit difference at i={first} is not finite"):
+            non_atomic_arbitrage(market(), 2.0, events, first)
 
 
 class TestTraces:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -314,22 +315,32 @@ UNUSABLE_OPTIONS = {
     "amount-scale-negative": [*ATOMICITY, "--amount-scale", "-1"],
     "sigma-nan": [*ATOMICITY, "--sigma", "nan"],
     "sigma-negative": [*ATOMICITY, "--sigma", "-1"],
-    "stream-size-negative": [*ATOMICITY, "--stream-size", "-1"],
     "amount-scale-overflow": [*ATOMICITY, "--amount-scale", "1e308"],
     "bound-without-range": [*OPTIMIZE_PAA, "--bound", "p2"],
     "bound-not-a-parameter": [*OPTIMIZE_PAA, "--bound", "q1:0:1"],
     "bound-p0": [*OPTIMIZE_PAA, "--bound", "p0:0:1"],
     "scenario-missing": ["evaluate", "--scenario", "no-such-scenario.json", "--vector", "paa", "1", "1"],
     # a replayed trace ignored these, yet the report echoed them into its config hash
-    "replay-stream-size": [*ATOMICITY, "--replay", str(TRACE), "--stream-size", "3"],
     "replay-amount-scale": [*ATOMICITY, "--replay", str(TRACE), "--amount-scale", "9"],
     "replay-sigma": [*ATOMICITY, "--replay", str(TRACE), "--sigma", "5"],
+    # the errors of these did not name the option (a negative seed on a replayed trace exited 0)
+    "seed-negative": ["--seed", "-1", *OPTIMIZE_PAA],
+    "describe-seed-negative": ["--seed", "-1", "describe", "--scenario", "pump_arbitrage", "--vector", "paa"],
+    "replay-seed-negative": ["--seed", "-1", *ATOMICITY, "--replay", str(TRACE)],
+    "i-values-fraction": [*ATOMICITY, "--i-values", "1.5"],
+    "i-values-negative": [*ATOMICITY, "--i-values=-1"],
+    "i-values-one-negative": [*ATOMICITY, "--i-values=5,-1"],
 }
+NAMED_OPTION = {"seed-negative": "--seed", "describe-seed-negative": "--seed", "replay-seed-negative": "--seed",
+                "i-values-fraction": "--i-values", "i-values-negative": "--i-values",
+                "i-values-one-negative": "--i-values"}
 
 
-@pytest.mark.parametrize("argv", UNUSABLE_OPTIONS.values(), ids=UNUSABLE_OPTIONS.keys())
-def test_unusable_option_exits_2_with_one_error_line(runner, argv):
-    assert_unusable_input(runner.invoke(main, argv))
+@pytest.mark.parametrize("case", UNUSABLE_OPTIONS, ids=list(UNUSABLE_OPTIONS))
+def test_unusable_option_exits_2_with_one_error_line(runner, case):
+    res = runner.invoke(main, UNUSABLE_OPTIONS[case])
+    assert_unusable_input(res)
+    assert NAMED_OPTION.get(case, "") in res.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -337,12 +348,19 @@ def test_unusable_option_exits_2_with_one_error_line(runner, argv):
     [*OPTIMIZE_PAA, "--tol", "1e-9"],
     [*OPTIMIZE_PAA, "--fd-step", "1e-4"],
     [*ATOMICITY, "--bootstrap-samples", "1000"],
-], ids=["max-iter", "tol", "fd-step", "bootstrap-samples"])
+    [*OPTIMIZE_PAA, "--zy-cap"],
+    ["evaluate", "--scenario", "oracle_manipulation", "--vector", "oracle", "--zy-cap", "1", "1", "1"],
+    ["describe", "--scenario", "oracle_manipulation", "--vector", "oracle", "--zy-cap"],
+    [*ATOMICITY, "--stream-size", "900"],
+], ids=["max-iter", "tol", "fd-step", "bootstrap-samples", "optimize-zy-cap", "evaluate-zy-cap",
+        "describe-zy-cap", "stream-size"])
 def test_fixed_solver_and_bootstrap_settings_are_not_options(runner, argv):
+    # --zy-cap repeated the enforced zY optimum, --stream-size a prefix of every trial's stream
     res = runner.invoke(main, argv)
     assert res.exit_code == 2, res.output
     assert res.stdout == ""
-    assert f"Error: No such option '{argv[-2]}'" in res.stderr
+    option = [arg for arg in argv if arg.startswith("--")][-1]
+    assert f"Error: No such option '{option}'" in res.stderr
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -405,21 +423,6 @@ class TestOptimize:
         assert res.exit_code == 0, res.output
         notes = json.loads(res.output)["results"]["notes"]
         assert any("zY" in note and "documented_optimum" in note for note in notes)
-
-    def test_zy_cap_mode_matches_enforced_boundary(self, runner):
-        res = runner.invoke(main, ["--format", "structured", "optimize",
-                                   "--scenario", "oracle_manipulation", "--vector", "oracle",
-                                   "--zy-cap"])
-        assert res.exit_code == 0, res.output
-        solver = json.loads(res.output)["results"]["solver"]
-        # clamping excess borrowing makes it pure cost, so the optimum lands on
-        # the same liquidity boundary as the residual-enforced solve
-        assert solver["best_objective"] == pytest.approx(8135.65, rel=1e-3)
-
-    def test_zy_cap_rejected_for_other_vectors(self, runner):
-        res = runner.invoke(main, ["optimize", "--scenario", "pump_arbitrage",
-                                   "--vector", "paa", "--zy-cap"])
-        assert res.exit_code == 2
 
     def test_bound_override_flag(self, runner):
         res = runner.invoke(main, ["--format", "structured", "optimize",
@@ -589,14 +592,22 @@ class TestAtomicity:
     def test_repeated_i_value_rests_on_trials_samples(self, runner):
         # a repeated i once pooled both copies into a 74-sample bootstrap
         args = ["--format", "structured", "atomicity", "--market", str(GOLDEN / "market.json"),
-                "--budget", "2", "--trials", "37", "--stream-size", "900", "--i-values"]
+                "--budget", "2", "--trials", "37", "--i-values"]
         repeated = runner.invoke(main, [*args, "700,5,0,5"])
         once = runner.invoke(main, [*args, "700,5,0"])
         assert repeated.exit_code == once.exit_code == 0
         rows = stable(repeated.output)["results"]["rows"]
         assert rows[1] == rows[3]
         assert rows[:3] == stable(once.output)["results"]["rows"]
-        assert rows[1]["ci_low"] == pytest.approx(-0.020694, abs=1e-6)
+        assert rows[1]["ci_low"] == pytest.approx(-0.025109, abs=1e-6)
+
+    def test_row_does_not_depend_on_the_other_i_values(self, runner):
+        # the stream was as long as the largest i, and a trial's first events changed with its length
+        args = ["--format", "structured", "atomicity", "--market", str(GOLDEN / "market.json"),
+                "--budget", "2", "--trials", "200", "--i-values"]
+        rows = [stable(runner.invoke(main, [*args, i_values]).output)["results"]["rows"][1]
+                for i_values in ("0,100", "0,100,1000")]
+        assert rows[0]["i"] == 100 and rows[0] == rows[1]
 
 
     @pytest.mark.parametrize("source", ["synthetic", "replay"])
@@ -692,6 +703,21 @@ class TestDescribe:
         objective = json.loads(replay.output)["results"]["objective"]
         assert objective == pytest.approx(2489.07, rel=1e-3)
 
+    def test_capped_lender_is_a_debt_cap_binding(self, runner, tmp_path):
+        # a lender that clamps the drawn amount to its liquidity instead of reporting the shortfall
+        doc = json.loads(runner.invoke(main, ["describe", "--scenario", "oracle_manipulation",
+                                              "--vector", "oracle"]).output)
+        doc["steps"][4]["calls"][0]["extra"]["debt_cap"] = "11086.29"
+        vector_file = tmp_path / "capped.json"
+        vector_file.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["--format", "structured", "evaluate", "--scenario", "oracle_manipulation",
+                                   "--vector", str(vector_file), "898.58", "546.80", "3517.86"])
+        assert res.exit_code == 0, res.output
+        results = json.loads(res.output)["results"]
+        assert results["steps"][5]["balances"]["ETH"] == pytest.approx(11086.29, rel=1e-12)
+        assert [r["value"] for r in results["residuals"] if r["name"] == "debt_liquidity"] == [0.0]
+        assert results["objective"] == pytest.approx(6123.05, rel=1e-12)
+
 
 # Records the thread timeout OpenBLAS will read, at the moment numpy starts to load.
 SPY_ON_NUMPY = """
@@ -732,3 +758,20 @@ class TestSpawnedCli:
                      "--scenario", "pump_arbitrage", "--vector", "paa"])
         assert res.returncode == 0, res.stderr
         assert stable(res.stdout) == json.loads((GOLDEN / "optimize_paa.json").read_text())
+
+
+def readme_examples() -> list[str]:
+    """The `flashsim ...` lines of the README's CLI block."""
+    block = (ROOT / "README.md").read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("flashsim ")]
+
+
+@pytest.mark.parametrize("line", readme_examples(), ids=lambda line: " ".join(line.split()[1:4]))
+def test_readme_examples_run(runner, line):
+    # keeps the README from advertising a deleted option; --strict at a violated point exits 1
+    files = {"market.json": str(GOLDEN / "market.json"), "loans.jsonl": str(GOLDEN / "classify_input.jsonl")}
+    argv = [files.get(arg, arg) for arg in shlex.split(line.split(">")[0])[1:]]  # no output redirect
+    res = runner.invoke(main, argv)
+    assert res.exit_code in (0, 1), (res.output, res.exception)
+    assert res.exit_code == 0 or "--strict" in argv
+    assert res.exception is None or isinstance(res.exception, SystemExit)

@@ -204,15 +204,6 @@ class TestBuiltins:
             spec = [c for c in oracle.constraints if c.name == cname][0]
             assert float(spec.fn(params)) == pytest.approx(by_key[key], rel=1e-9, abs=1e-9)
 
-    def test_zy_cap_mode_clamps_instead_of_reporting(self, oracle_state):
-        capped = build_oracle_vector(oracle_state, zy_cap=True)
-        params = (898.58, 546.80, 3517.86)
-        trace = evaluate(capped, oracle_state, params)
-        drawn = trace.states[5].balance("adversary", "ETH")
-        assert drawn == pytest.approx(11086.29, rel=1e-12)
-        assert trace.objective_value == pytest.approx(
-            float(capped.objective(np.array(params))), rel=1e-9)
-
     def test_missing_pool_is_config_error(self, paa_state):
         doc = {"assets": ["ETH"], "balances": {}, "pools": {
             "flash": {"type": "flash_loan", "asset": "ETH", "vX": 1.0}}}
