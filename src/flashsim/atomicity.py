@@ -358,7 +358,7 @@ def sweep(
     row, a repeated i-value's too, rests on exactly `trials` samples.
     """
     if trials < 1:
-        raise ConfigError("need at least one trial")
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
     i_values = list(i_values)
     replay = isinstance(stream, ReplayStream)
     needed = _check_counts(i_values, len(stream.trace) if replay else stream.size)

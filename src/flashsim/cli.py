@@ -155,7 +155,7 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, starts, grid_
                          dict(_parse_bound(b) for b in bound_overrides))
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
     if vector.n_params <= 3 and resolution < 2:  # the grid's own check, before any work
-        raise ConfigError("grid resolution must be at least 2")
+        raise ConfigError(f"--grid-res must be at least 2, got {resolution}")
     best = solve(vector, ignored, starts, obj["seed"])
     grid = grid_oracle(vector, resolution, ignored) if vector.n_params <= 3 else None
     prob = problem(vector, ignored)
@@ -169,7 +169,7 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, starts, grid_
     params = np.array(best.best_params)
     scales = dict(zip(prob.constraints, prob.scales))
     constraint_rows = []
-    notes = []
+    notes = [f"residual {name!r} is zero by construction and not enforced" for name in vector.structural]
     for spec in vector.constraints:
         value = float(spec.fn(params))
         constraint_rows.append({"name": spec.name, "description": spec.description,

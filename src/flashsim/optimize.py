@@ -1,7 +1,7 @@
 """Constrained maximization of vector objectives, plus a brute-force oracle.
 
 The solver is sequential least-squares programming (SciPy's SLSQP) driven
-by central finite-difference gradients, restarted from a Latin hypercube of
+by SciPy's own forward differences, restarted from a Latin hypercube of
 seeds over the bound box.  The starts run in lockstep through SciPy's SLSQP
 core: each round steps every running start once, then evaluates the points
 they ask for in one batch, so each start's iterates are those of its own
@@ -14,15 +14,17 @@ The solver reads only the vector: an :class:`~flashsim.vectors.AttackVector`
 captures the scenario when it is built or parsed, so solving on another
 scenario means building the vector on it.
 Objectives and constraints take a point or a batch, closed form and replayed
-chain alike: a round's gradients are one call on the 2n stencil rows of
-every start, its constraint Jacobians one call on their n forward steps (the
-residuals at x come from the round before), a scan one call per block.  A
-batch row the chain cannot replay reads objective nan and residuals -inf; a
-start drops out at its first non-finite value, the grid scores it infeasible.
+chain alike: a round differences the objective and the residuals together,
+by one rule and in one call on the n in-box forward steps of every start
+(their values at x come from the round before), and a scan makes one call
+per block.  A batch row the chain cannot replay reads objective nan and
+residuals -inf; a start drops out at its first non-finite value, the grid
+scores it infeasible.
 
 ``grid_oracle`` is the independent check: an exhaustive feasible-box scan
-(plus one local refinement pass) that certifies solver results for 1 to 3
-parameters, in memory bounded at any resolution; its time grows as res ** n.
+that then zooms on its best point until the mesh is fine, certifying solver
+results for 1 to 3 parameters in memory bounded at any resolution; its time
+grows as res ** n.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize._slsqplib import slsqp as _slsqp  # SciPy's reverse-communication SLSQP core
@@ -41,9 +43,9 @@ from .vectors import AttackVector, ConstraintSpec, EvaluationError, closed_form_
 FEASIBILITY_TOL = 1e-6
 MAX_ITERATIONS = 200  # SLSQP's iteration cap per start
 TOLERANCE = 1e-9  # SLSQP's accuracy goal
-FD_STEP = 1e-4  # central-difference step of the objective gradient only
 GRID_BLOCK = 4096  # mesh points per grid oracle call
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)  # SciPy's absolute step for SLSQP's constraint Jacobian
+GRID_ZOOM = 500  # the grid zooms until its mesh spacing is at most 1/GRID_ZOOM of the box
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)  # SciPy's absolute step for SLSQP's differences
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class Problem:
 def problem(vector: AttackVector, ignore: Iterable[str] = ()) -> Problem:
     """The solver's view of `vector`, minus the ignored constraints."""
     ignored = set(ignore)
-    unknown = ignored - {c.name for c in vector.constraints}
+    unknown = ignored - {c.name for c in vector.constraints} - set(vector.structural)
     if unknown:
         raise ConfigError(f"cannot ignore unknown constraint(s) {sorted(unknown)}")
     constraints = tuple(c for c in vector.constraints if c.name not in ignored)
@@ -114,16 +116,6 @@ def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
     cells = np.stack([rng.permutation(n) for _ in range(dim)], axis=1)
     u = (cells + rng.random((n, dim))) / n
     return lo + u * (hi - lo)
-
-
-def _central_difference(f, params: np.ndarray, step: float) -> np.ndarray:
-    """Central difference of `f` at each point of a batch ``(k, n)``, from one call on the 2n
-    stencil rows of every point."""
-    k, n = params.shape
-    bump = step * np.eye(n)
-    stencil = np.concatenate([params[:, None] + bump, params[:, None] - bump], axis=1)
-    values = np.asarray(f(stencil.reshape(-1, n)), dtype=float).reshape(k, 2 * n)
-    return (values[:, :n] - values[:, n:]) / (2.0 * step)
 
 
 def _forward_jacobian(f, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -143,17 +135,6 @@ def _forward_jacobian(f, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, f0: np.n
     return ((values - f0[:, None]) / ((x + h) - x)[:, :, None]).transpose(0, 2, 1)
 
 
-def finite_diff_gradient(vector: AttackVector, params: Sequence[float], step: float) -> np.ndarray:
-    """Central-difference gradient of the objective at an interior point."""
-    params = np.asarray(params, dtype=float)
-    for i, ((lo, hi), p) in enumerate(zip(vector.bounds, params)):
-        if not (lo + step <= p <= hi - step):
-            raise ValueError(
-                f"parameter {i} = {p} not interior to [{lo}, {hi}] by step {step}"
-            )
-    return _central_difference(closed_form_objective(vector), params[None], step)[0]
-
-
 class _Lane:
     """One start's SLSQP state and workspace, laid out as SciPy's `_minimize_slsqp` lays them out."""
 
@@ -170,7 +151,7 @@ class _Lane:
         self.C = np.zeros((max(1, m), n), order="F")
         self.d = np.zeros(max(1, m))
         self.x, self.f, self.g = x0, 0.0, np.zeros(n)
-        self.at, self.r = None, None  # the last point whose residuals were taken, and them
+        self.at, self.r = None, None  # the last point taken, and its negated objective and residuals
         self.failed = False
 
 
@@ -180,8 +161,9 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list
     Every start is a lane of SciPy's reverse-communication core, which `minimize` loops over
     one start at a time; here each round calls the core once per running lane, then evaluates
     the points the lanes asked for in one batch.  Each lane sees what `_minimize_slsqp` gives
-    it: f and g at the clipped start, f, residuals and g at the core's x, the constraint
-    Jacobian at x clipped to the box, and only the coordinates that the bounds leave free.
+    it when SciPy differences both the objective and the constraints: f and residuals at the
+    clipped start and at the core's x, their 2-point differences at x clipped to the box, and
+    only the coordinates that the bounds leave free.
     A lane is dropped at its first non-finite objective, residual, gradient or Jacobian entry."""
     lo, hi = np.array(prob.bounds, dtype=float).T
     xl, xu = lo[free], hi[free]
@@ -193,38 +175,31 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list
         out[:, free] = x
         return out
 
-    def objective(x):
-        return np.asarray(prob.objective(full(x)), dtype=float)
+    def values(x):
+        """SLSQP's view of each point: the negated objective, then the scaled residuals."""
+        p = full(x)
+        return np.concatenate([-np.asarray(prob.objective(p), dtype=float)[:, None], prob.residuals(p)], axis=1)
 
-    def residuals(x):
-        return prob.residuals(full(x))
+    def take(lanes, x):
+        """Keep the values at each lane's point of `x` as its last."""
+        if lanes:
+            x = np.array(x)
+            for lane, at, row in zip(lanes, x, values(x)):
+                lane.at, lane.r, lane.failed = at, row, not np.isfinite(row).all()
 
     def ask_f(lanes):
-        if not lanes:
-            return
-        x = np.array([lane.x for lane in lanes])
-        f, r = objective(x), residuals(x)
-        for lane, at, value, res, ok in zip(lanes, x, f, r, np.isfinite(f) & np.isfinite(r).all(axis=1)):
-            lane.f, lane.at, lane.r, lane.failed = -float(value), at, res, not ok
-            lane.d[:m] = res
+        take(lanes, [lane.x for lane in lanes])
+        for lane in lanes:
+            lane.f, lane.d[:m] = float(lane.r[0]), lane.r[1:]
 
     def ask_g(lanes):
         moved = [lane for lane in lanes if not np.array_equal(np.clip(lane.x, xl, xu), lane.at)]
-        if moved:  # residuals at a clipped point the lane's last f did not take
-            x = np.array([np.clip(lane.x, xl, xu) for lane in moved])
-            r = residuals(x)
-            for lane, at, res, ok in zip(moved, x, r, np.isfinite(r).all(axis=1)):
-                lane.at, lane.r, lane.failed = at, res, not ok
+        take(moved, [np.clip(lane.x, xl, xu) for lane in moved])  # values the lane's last f did not take
         lanes = [lane for lane in lanes if not lane.failed]
-        if not lanes:
-            return
-        x = np.array([lane.x for lane in lanes])
-        g = -_central_difference(objective, x, FD_STEP)
-        jacobians = _forward_jacobian(residuals, x, xl, xu, np.array([lane.r for lane in lanes]))
-        finite = np.isfinite(g).all(axis=1) & np.isfinite(jacobians).all(axis=(1, 2))
-        for lane, gradient, jacobian, ok in zip(lanes, g, jacobians, finite):
-            lane.g, lane.failed = gradient, not ok
-            lane.C[:m] = jacobian
+        if lanes:  # row 0 of each Jacobian is the gradient, copied: the core reads g as contiguous
+            x, f0 = np.array([lane.x for lane in lanes]), np.array([lane.r for lane in lanes])
+            for lane, jacobian in zip(lanes, _forward_jacobian(values, x, xl, xu, f0)):
+                lane.g, lane.C[:m], lane.failed = jacobian[0].copy(), jacobian[1:], not np.isfinite(jacobian).all()
 
     running = lanes = [_Lane(x0.copy(), m) for x0 in np.clip(starts[:, free], xl, xu)]
     while running:  # mode 1 asks for f, -1 for g, and 0 on entry for both
@@ -243,10 +218,11 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
     Multi-start over a seeded Latin hypercube; returns the best feasible
     point, or an explicitly infeasible result (never a silent zero) when no
     start lands within the scaled feasibility tolerance.  A start is dropped
-    at its first non-finite value; parameters fixed by their bounds stay at them.
+    at its first non-finite value, and if every start drops out the start points
+    themselves are the candidates; parameters fixed by their bounds stay at them.
     """
     if starts < 1:
-        raise ConfigError(f"starts must be >= 1, got {starts}")
+        raise ConfigError(f"--starts must be at least 1, got {starts}")
     if vector.n_params < 1:
         raise ConfigError("vector has no free parameters")
     if any(not np.isfinite([lo, hi]).all() for lo, hi in vector.bounds):
@@ -259,12 +235,12 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
     free = lo < hi
     # with every parameter fixed, each start ends where SciPy leaves it: at the lower corner
     solved = _lockstep_slsqp(prob, points, free) if free.any() else [(lo, 0)] * starts
-    ends = []  # (objective, params, min residual) of each start that ends at a finite objective
-    if solved:
-        x = np.clip(np.array([end for end, _ in solved]), lo, hi)
-        values = np.asarray(prob.objective(x), dtype=float)
-        worst = prob.residuals(x).min(axis=-1, initial=np.inf)
-        ends = [(float(v), p, float(w)) for v, p, w in zip(values, x, worst) if np.isfinite(v)]
+    # (objective, params, min residual) at each end with a finite objective; if every start
+    # dropped out, at each start point instead
+    x = np.clip(np.array([end for end, _ in solved]) if solved else points, lo, hi)
+    values = np.asarray(prob.objective(x), dtype=float)
+    worst = prob.residuals(x).min(axis=-1, initial=np.inf)
+    ends = [(float(v), p, float(w)) for v, p, w in zip(values, x, worst) if np.isfinite(v)]
 
     elapsed = time.perf_counter() - started
     if not ends:
@@ -285,7 +261,8 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
 
 
 def grid_oracle(vector: AttackVector, resolution: int, ignore: Iterable[str] = ()) -> OptimizationResult:
-    """Exhaustive feasible-box scan plus one refinement pass around the best cell.
+    """Exhaustive feasible-box scan, then zoom passes around the best point until the mesh
+    spacing is at most 1/GRID_ZOOM of the box (one pass at 2 or 3 mesh lines, which never shrink).
 
     Independent of the gradient solver; used to certify its results.  Only
     supported for up to three free parameters (desk-scale exhaustion).
@@ -320,11 +297,14 @@ def grid_oracle(vector: AttackVector, resolution: int, ignore: Iterable[str] = (
 
     lo, hi = np.array(vector.bounds, dtype=float).T
     best = scan(lo, hi)
-    if best[0]:
-        cell = (hi - lo) / (resolution - 1)
+    cell = (hi - lo) / (resolution - 1)
+    while best[0]:  # zoom on the best point, each pass scanning the cells around it
         fine = scan(np.maximum(lo, best[2] - cell), np.minimum(hi, best[2] + cell))
         if fine[0] and fine[1] > best[1]:
             best = fine
+        cell = 2 * cell / (resolution - 1)
+        if resolution <= 3 or (cell <= (hi - lo) / GRID_ZOOM).all():
+            break
 
     elapsed = time.perf_counter() - started
     feasible, value, point, worst = best

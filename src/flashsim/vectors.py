@@ -197,7 +197,9 @@ class AttackVector:
     """A parametrized chain.  `objective` takes a point or a batch as
     `ConstraintSpec.fn` does: a closed form for a built-in chain, the profit
     replayed on the parse-time scenario for a described one.  A chain built
-    without one can be replayed by `evaluate` but not solved."""
+    without one can be replayed by `evaluate` but not solved.  `structural` names
+    the residuals of a described chain that are zero by construction, which are
+    not constraints."""
 
     name: str
     steps: tuple[ActionStep, ...]
@@ -209,6 +211,7 @@ class AttackVector:
     constraints: tuple[ConstraintSpec, ...]
     objective: Callable[[np.ndarray], np.ndarray | float] | None = None
     reference_points: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
+    structural: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -575,9 +578,12 @@ def describe(vector: AttackVector) -> dict:
     }
 
 
-def _probe_constraints(vector: AttackVector, probe: EvaluationTrace, table: Callable) -> tuple[ConstraintSpec, ...]:
-    """Mechanically derive constraints for a user vector from a probe replay.
+def _probe_constraints(vector: AttackVector, probe: EvaluationTrace, table: Callable) -> AttackVector:
+    """`vector` with the constraints mechanically derived from a probe replay.
 
+    A residual within 1e-9 of zero, relative to its size at the probe point, there and
+    at every point of the random segments below is zero by construction (the balance left
+    after a step spends all of it): it is named in `structural`, not made a constraint.
     Linearity is decided numerically: a residual is classified linear when it is affine
     along random segments of the parameter box, whose ends and midpoints are one batch
     of `table`; a segment with a point the chain cannot replay counts as curved.
@@ -592,20 +598,25 @@ def _probe_constraints(vector: AttackVector, probe: EvaluationTrace, table: Call
     with np.errstate(invalid="ignore"):  # -inf - -inf at a failed row
         gap = abs(0.5 * (fa + fb) - fmid)
     curved = ~((gap <= 1e-7 * scale) & np.isfinite(gap)).all(axis=0)
+    at_probe = np.array([res.value for res in probe.residuals])
+    zero = 1e-9 * np.maximum(1.0, abs(at_probe))
+    structural = (abs(at_probe) <= zero) & (abs(values) <= zero).all(axis=0)
+    names = [f"s{res.step}_{res.name}" for res in probe.residuals]
 
     def residual_fn(index: int):
         return lambda p: table(p)[..., 1 + index]
 
-    return tuple(
+    constraints = tuple(
         ConstraintSpec(
-            name=f"s{res.step}_{res.name}",
+            name=names[idx],
             description=f"{res.name} at step {res.step}",
             step=res.step or 0,
             linear=not curved[idx],
             fn=residual_fn(idx),
         )
-        for idx, res in enumerate(probe.residuals)
+        for idx, res in enumerate(probe.residuals) if not structural[idx]
     )
+    return replace(vector, constraints=constraints, structural=tuple(n for n, dropped in zip(names, structural) if dropped))
 
 
 def _parse_call(doc, where: str, n_params: int) -> EndpointCall:
@@ -660,5 +671,4 @@ def parse_vector(doc: dict, scenario: WorldState) -> AttackVector:
         raise ConfigError(f"bad vector description: {exc}") from None
     probe = evaluate(vector, scenario, [lo + 0.25 * (hi - lo) for lo, hi in vector.bounds])
     table = replay_table(vector, scenario, 1 + len(probe.residuals))
-    return replace(vector, constraints=_probe_constraints(vector, probe, table),
-                   objective=lambda p: table(p)[..., 0])
+    return _probe_constraints(replace(vector, objective=lambda p: table(p)[..., 0]), probe, table)

@@ -35,7 +35,6 @@ from flashsim.models import (
 )
 from flashsim.optimize import (
     FEASIBILITY_TOL,
-    finite_diff_gradient,
     grid_oracle,
     problem,
     solve,
@@ -47,6 +46,8 @@ from flashsim.vectors import (
     evaluate,
     with_bounds,
 )
+
+from differences import finite_diff_gradient
 
 RNG = np.random.default_rng(314159)
 

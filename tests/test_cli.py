@@ -330,10 +330,16 @@ UNUSABLE_OPTIONS = {
     "i-values-fraction": [*ATOMICITY, "--i-values", "1.5"],
     "i-values-negative": [*ATOMICITY, "--i-values=-1"],
     "i-values-one-negative": [*ATOMICITY, "--i-values=5,-1"],
+    "trials-zero": [*ATOMICITY, "--trials", "0"],
+    "trials-negative": [*ATOMICITY, "--trials", "-3"],
+    "grid-res-one": [*OPTIMIZE_PAA, "--grid-res", "1"],
+    "grid-res-negative": [*OPTIMIZE_PAA, "--grid-res", "-5"],
 }
 NAMED_OPTION = {"seed-negative": "--seed", "describe-seed-negative": "--seed", "replay-seed-negative": "--seed",
                 "i-values-fraction": "--i-values", "i-values-negative": "--i-values",
-                "i-values-one-negative": "--i-values"}
+                "i-values-one-negative": "--i-values", "trials-zero": "--trials", "trials-negative": "--trials",
+                "grid-res-one": "--grid-res", "grid-res-negative": "--grid-res",
+                "starts-zero": "--starts", "starts-negative": "--starts"}
 
 
 @pytest.mark.parametrize("case", UNUSABLE_OPTIONS, ids=list(UNUSABLE_OPTIONS))
@@ -496,11 +502,12 @@ class TestOptimize:
          ["--bound", "p1:0:1e306", "--starts", "4", "--grid-res", "10"], 0.0),
         # the reserve quote overflows at large p2
         (oracle_chain_text(2), "oracle_manipulation",
-         ["--bound", "p2:0:1e6", "--starts", "4", "--grid-res", "12"], 7850.00),
+         ["--bound", "p2:0:1e6", "--starts", "4", "--grid-res", "12"], 8012.00),
     ], ids=["paa", "oracle"])
     def test_point_the_chain_cannot_replay_is_infeasible(self, runner, tmp_path, chain, scenario, args,
                                                          grid_objective):
-        # both exited 2 naming the failing step, the grid aborting at its first such point
+        # both exited 2 naming the failing step, the grid aborting at its first such point; at seed 0
+        # every oracle start drops out, and the solver reports the least violated start point
         vector_file = tmp_path / "chain.json"
         vector_file.write_text(chain)
         res = runner.invoke(main, ["--format", "structured", "--seed", "0", "optimize", "--scenario", scenario,
@@ -719,34 +726,37 @@ class TestDescribe:
         assert results["objective"] == pytest.approx(6123.05, rel=1e-12)
 
 
-# Records the thread timeout OpenBLAS will read, at the moment numpy starts to load.
-SPY_ON_NUMPY = """
+OPENBLAS = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS")  # flashsim's defaults; spawn strips them
+# Records the thread timeout and count OpenBLAS will read, at the moment numpy starts to load.
+SPY_ON_NUMPY = f"""
 import os, sys
+names = {OPENBLAS!r}
 seen = []
 class Spy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            seen.extend(os.environ.get(v) for v in names)
 sys.meta_path.insert(0, Spy())
 import flashsim.vectors
-print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
+print(*seen, *(os.environ[v] for v in names))
 """
 
 
 def spawn(args, stdin=None, preexec_fn=None, **env):
     """`python <args>` in a fresh interpreter, with the package uninstalled on PYTHONPATH."""
-    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    environ = {k: v for k, v in os.environ.items() if k not in OPENBLAS}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**environ, **env}, cwd=ROOT, stdin=stdin,
                           preexec_fn=preexec_fn, capture_output=True, text=True, timeout=600)
 
 
 class TestSpawnedCli:
-    @pytest.mark.parametrize("preset, expected", [(None, "4"), ("30", "30")])
+    @pytest.mark.parametrize("preset, expected", [(None, ["4", "1"]), (["30", "2"], ["30", "2"])],
+                             ids=["None-4", "30-30"])  # an exported value wins
     def test_openblas_thread_timeout_is_set_before_numpy_loads(self, preset, expected):
-        res = spawn(["-c", SPY_ON_NUMPY], **({} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}))
+        res = spawn(["-c", SPY_ON_NUMPY], **({} if preset is None else dict(zip(OPENBLAS, preset))))
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == [expected, expected]
+        assert res.stdout.split() == expected * 2
 
     def test_bare_package_import_loads_neither_numpy_nor_scipy(self):
         res = spawn(["-c", "import sys, flashsim; print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"])

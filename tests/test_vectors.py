@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flashsim import vectors
 from flashsim.models import ConfigError
-from flashsim.optimize import closed_form_objective, grid_oracle
+from flashsim.optimize import closed_form_objective, grid_oracle, problem
 from flashsim.scenario import scenario_from_dict
 from flashsim.vectors import (
     ActionStep,
@@ -32,6 +32,13 @@ from flashsim.vectors import (
 
 RNG = np.random.default_rng(2020)
 DESCRIBED_PAA = Path(__file__).parent / "golden" / "describe_paa.json"
+
+
+def constraint_values(trace, constraints) -> list[float]:
+    """Each constraint's residual in a replay, found by name: a described chain's constraints
+    skip the residuals that are zero by construction."""
+    by_name = {f"s{r.step}_{r.name}": r.value for r in trace.residuals}
+    return [by_name[c.name] for c in constraints]
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +255,19 @@ class TestDescription:
         assert not linear["s3_price_cap"]
         assert not linear["s5_debt_liquidity"]
 
+    @pytest.mark.parametrize("name, structural", [
+        ("paa", ("s3_collateral_balance", "s4_trader_y_balance", "s6_debt_balance")),
+        ("oracle", ("s4_seller_balance", "s5_collateral_balance"))])
+    def test_residuals_zero_by_construction_are_not_constraints(self, name, structural, request):
+        # each is the balance left after a step spends all of it
+        vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
+        parsed = parse_vector(describe(vector), state)
+        assert parsed.structural == structural
+        names = [c.name for c in parsed.constraints]
+        residuals = evaluate(parsed, state, [hi for _, hi in parsed.bounds]).residuals
+        assert sorted(names + list(structural)) == sorted(f"s{r.step}_{r.name}" for r in residuals)
+        assert problem(parsed, ignore=structural).constraints == parsed.constraints  # still ignorable
+
     def test_probe_segment_the_chain_cannot_replay_is_curved(self, paa, paa_state, monkeypatch):
         replay, replays = vectors.evaluate, []
 
@@ -298,7 +318,7 @@ class TestDescription:
 
         pairs = list(zip(points, points[::-1]))
         expected = [(evaluate(paa, paa_state, p).objective_value,
-                     [r.value for r in evaluate(paa, paa_state, q).residuals],
+                     constraint_values(evaluate(paa, paa_state, q), parsed.constraints),
                      evaluate(paa, paa_state, p).objective_value) for p, q in pairs]
         assert [read(pair) for pair in pairs] == expected
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -312,8 +332,8 @@ class TestDescription:
         batch = lo + RNG.random((2, 3, parsed.n_params)) * (hi - lo) * 0.5
         traces = [[evaluate(parsed, state, p) for p in row] for row in batch]
         fns = [parsed.objective] + [c.fn for c in parsed.constraints]
-        columns = [[[t.objective_value for t in row] for row in traces]] + [
-            [[t.residuals[i].value for t in row] for row in traces] for i in range(len(parsed.constraints))]
+        columns = [[[t.objective_value for t in row] for row in traces]] + np.moveaxis(
+            [[constraint_values(t, parsed.constraints) for t in row] for row in traces], -1, 0).tolist()
         for fn, column in zip(fns, columns):
             assert np.array_equal(fn(batch), column)  # bitwise, shape (2, 3)
             point = fn(batch[1, 2])
@@ -327,7 +347,7 @@ class TestDescription:
         # a row the chain cannot replay reads nan and -inf; a ConfigError at any row stays fatal
         vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
         parsed = parse_vector(describe(vector), state)
-        table = replay_table(parsed, state, 1 + len(parsed.constraints))
+        table = replay_table(parsed, state, 1 + len(parsed.constraints) + len(parsed.structural))
         seen = set()
         unit = st.lists(st.floats(0.0, 1.0), min_size=parsed.n_params, max_size=parsed.n_params)
 
