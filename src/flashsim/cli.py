@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -36,7 +37,8 @@ INPUT_ERRORS = (ConfigError, EvaluationError, ValueError, OSError)
 
 def _versions() -> dict:
     return {"flashsim": __version__, "python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def _hash_config(command: str, config: dict) -> str:

@@ -5,10 +5,11 @@ Every operation takes a state plus numeric parameters and returns its
 successor, built by one :meth:`WorldState.transact` call, together with a
 list of signed constraint residuals.  A residual >= 0 means the protocol
 rule it encodes is satisfied; negative residuals are *returned, not
-raised*, so an optimizer can walk through infeasible regions.
-Misconfiguration (unknown pool, bad price, zero reserves) raises
-:class:`ConfigError` instead -- that is a broken setup, not an infeasible
-trade.
+raised*, so an optimizer can walk through infeasible regions.  An op
+that cannot execute at all (unknown pool, bad price, empty reserves, a
+negative amount, a repay without a position) raises :class:`ConfigError`;
+a chain replay reports that as the failing step, so a parameter point
+where it happens is one the optimizer cannot evaluate.
 
 Conventions: each venue trades a pair X/Y; amounts are token units in
 binary floating point, and all golden comparisons elsewhere use relative
@@ -26,11 +27,8 @@ Entity = str
 
 
 class ConfigError(Exception):
-    """A pool, asset, or parameter is misconfigured (distinct from an infeasible trade)."""
-
-
-class PositionError(Exception):
-    """An operation was applied to a position that does not exist."""
+    """A pool, asset or parameter an op cannot execute with (distinct from an infeasible
+    trade, which returns a negative residual)."""
 
 
 STRICT_RESIDUAL_TOL = 1e-9
@@ -380,7 +378,7 @@ def collateralized_repay(state: WorldState, pool_id: str, trader: Entity) -> OpR
     pool = state.pool(pool_id, LendingPool)
     open_idx = [i for i, p in enumerate(pool.positions) if p.trader == trader]
     if not open_idx:
-        raise PositionError(f"{trader!r} has no open position in {pool_id!r}")
+        raise ConfigError(f"{trader!r} has no open position in {pool_id!r}")
     idx = open_idx[-1]
     position = pool.positions[idx]
     held = state.balance(trader, pool.debt_asset)

@@ -17,9 +17,11 @@ Objectives and constraints take a point or a batch, closed form and replayed
 chain alike: a round differences the objective and the residuals together,
 by one rule and in one call on the n in-box forward steps of every start
 (their values at x come from the round before), and a scan makes one call
-per block.  A batch row the chain cannot replay reads objective nan and
-residuals -inf; a start drops out at its first non-finite value, the grid
-scores it infeasible.
+per block.  A point the chain cannot replay reads objective nan and residuals
+-inf, and a closed form that overflows reads non-finite, without a warning;
+a start drops out at its first non-finite value.  The solver's end points,
+each grid block and then the block winners pick their best by one rule,
+`_select`, among the evaluable points; a box with none is unusable input.
 
 ``grid_oracle`` is the independent check: an exhaustive feasible-box scan
 that then zooms on its best point until the mesh is fine, certifying solver
@@ -31,14 +33,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize._slsqplib import slsqp as _slsqp  # SciPy's reverse-communication SLSQP core
 
 from .models import ConfigError
-from .vectors import AttackVector, ConstraintSpec, EvaluationError, closed_form_objective
+from .vectors import AttackVector, ConstraintSpec, closed_form_objective
 
 FEASIBILITY_TOL = 1e-6
 MAX_ITERATIONS = 200  # SLSQP's iteration cap per start
@@ -63,15 +65,8 @@ class OptimizationResult:
     method: str
 
     def as_dict(self) -> dict:
-        return {
-            "best_params": list(self.best_params),
-            "best_objective": self.best_objective,
-            "max_violation": self.max_violation,
-            "feasible": self.feasible,
-            "iterations": self.iterations,
-            "starts_tried": self.starts_tried,
-            "method": self.method,
-        }
+        """Every field but `wall_time`, so that a report is reproducible."""
+        return {k: v for k, v in asdict(self).items() if k != "wall_time"}
 
 
 @dataclass(frozen=True)
@@ -80,20 +75,24 @@ class Problem:
 
     Residuals are normalized by their magnitude at the lower-bound corner,
     i.e. the constant term for the affine majority (pools differ by ~1e5 in
-    size)."""
+    size), or by 1 where that magnitude is not finite."""
 
     objective: Callable[[np.ndarray], np.ndarray | float]
     constraints: tuple[ConstraintSpec, ...]
     scales: np.ndarray
     bounds: tuple[tuple[float, float], ...]
 
-    def residuals(self, p) -> np.ndarray:
-        """Scaled residual of every active constraint, ``(..., m)`` at a point or batch ``(..., n)``."""
+    def values(self, p) -> np.ndarray:
+        """The objective, then the scaled residual of every active constraint, ``(..., 1 + m)``
+        at a point or batch ``(..., n)``; an overflow stays non-finite, with no warning."""
         p = np.asarray(p, dtype=float)
-        values = np.empty((len(self.constraints),) + p.shape[:-1])  # constraint-major: fast min over m
-        for j, c in enumerate(self.constraints):
-            values[j] = c.fn(p)
-        return np.moveaxis(values, 0, -1) / self.scales
+        values = np.empty((1 + len(self.constraints),) + p.shape[:-1])  # value-major: fast min over m
+        with np.errstate(all="ignore"):
+            for j, fn in enumerate([self.objective, *(c.fn for c in self.constraints)]):
+                values[j] = fn(p)
+        values = np.moveaxis(values, 0, -1)
+        values[..., 1:] /= self.scales
+        return values
 
 
 def problem(vector: AttackVector, ignore: Iterable[str] = ()) -> Problem:
@@ -104,8 +103,47 @@ def problem(vector: AttackVector, ignore: Iterable[str] = ()) -> Problem:
         raise ConfigError(f"cannot ignore unknown constraint(s) {sorted(unknown)}")
     constraints = tuple(c for c in vector.constraints if c.name not in ignored)
     corner = np.array([lo for lo, _ in vector.bounds], dtype=float)
-    scales = np.array([max(1.0, abs(float(c.fn(corner)))) for c in constraints])
+    with np.errstate(all="ignore"):
+        at_corner = np.array([c.fn(corner) for c in constraints], dtype=float)
+    scales = np.where(np.isfinite(at_corner), np.maximum(1.0, np.abs(at_corner)), 1.0)
     return Problem(closed_form_objective(vector), constraints, scales, vector.bounds)
+
+
+def _candidates(prob: Problem, points: np.ndarray) -> np.ndarray:
+    """Rows (objective, smallest scaled residual, point) of points ``(k, n)``.  A point is
+    evaluable when its objective is finite and no residual is nan or -inf; at any other
+    point the smallest residual reads nan."""
+    values = prob.values(points)
+    worst = values[:, 1:].min(axis=1, initial=np.inf)
+    worst[~(np.isfinite(values[:, 0]) & (worst > -np.inf))] = np.nan
+    return np.column_stack([values[:, 0], worst, points])
+
+
+def _select(rows: np.ndarray) -> np.ndarray:
+    """The first best feasible of `_candidates` rows, else the first least violated evaluable
+    one (the first row if none is evaluable), copied so that no view keeps `rows` alive."""
+    objective, worst = rows[:, 0], rows[:, 1]
+    feasible = worst >= -FEASIBILITY_TOL
+    key = np.where(feasible, objective, -np.inf) if feasible.any() else np.where(np.isnan(worst), -np.inf, worst)
+    return rows[int(np.argmax(key))].copy()
+
+
+def _result(prob: Problem, row: np.ndarray, method: str, iterations: int, starts: int,
+            started: float) -> OptimizationResult:
+    """The result at a `_select`ed row; a ConfigError naming the box if it is not evaluable."""
+    if np.isnan(row[1]):
+        box = " ".join(f"p{i + 1}:{lo:g}:{hi:g}" for i, (lo, hi) in enumerate(prob.bounds))
+        raise ConfigError(f"{method}: no point tried in the box {box} can be evaluated")
+    return OptimizationResult(
+        best_params=tuple(float(v) for v in row[2:]),
+        best_objective=float(row[0]),
+        max_violation=float(row[1]),
+        feasible=bool(row[1] >= -FEASIBILITY_TOL),
+        iterations=iterations,
+        wall_time=time.perf_counter() - started,
+        starts_tried=starts,
+        method=method,
+    )
 
 
 def latin_hypercube(n: int, bounds, seed: int) -> np.ndarray:
@@ -177,8 +215,7 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list
 
     def values(x):
         """SLSQP's view of each point: the negated objective, then the scaled residuals."""
-        p = full(x)
-        return np.concatenate([-np.asarray(prob.objective(p), dtype=float)[:, None], prob.residuals(p)], axis=1)
+        return prob.values(full(x)) * np.r_[-1.0, np.ones(m)]
 
     def take(lanes, x):
         """Keep the values at each lane's point of `x` as its last."""
@@ -220,6 +257,7 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
     start lands within the scaled feasibility tolerance.  A start is dropped
     at its first non-finite value, and if every start drops out the start points
     themselves are the candidates; parameters fixed by their bounds stay at them.
+    If no candidate is evaluable, a ConfigError names the box.
     """
     if starts < 1:
         raise ConfigError(f"--starts must be at least 1, got {starts}")
@@ -235,29 +273,9 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
     free = lo < hi
     # with every parameter fixed, each start ends where SciPy leaves it: at the lower corner
     solved = _lockstep_slsqp(prob, points, free) if free.any() else [(lo, 0)] * starts
-    # (objective, params, min residual) at each end with a finite objective; if every start
-    # dropped out, at each start point instead
-    x = np.clip(np.array([end for end, _ in solved]) if solved else points, lo, hi)
-    values = np.asarray(prob.objective(x), dtype=float)
-    worst = prob.residuals(x).min(axis=-1, initial=np.inf)
-    ends = [(float(v), p, float(w)) for v, p, w in zip(values, x, worst) if np.isfinite(v)]
-
-    elapsed = time.perf_counter() - started
-    if not ends:
-        raise EvaluationError(0, "every start failed to evaluate")
-    # the first best feasible end, else the first least violated one
-    feasible = [end for end in ends if end[2] >= -FEASIBILITY_TOL]
-    value, x, worst = max(feasible, key=lambda end: end[0]) if feasible else max(ends, key=lambda end: end[2])
-    return OptimizationResult(
-        best_params=tuple(float(v) for v in x),
-        best_objective=value,
-        max_violation=worst,
-        feasible=bool(feasible),
-        iterations=sum(iterations for _, iterations in solved),
-        wall_time=elapsed,
-        starts_tried=starts,
-        method="slsqp",
-    )
+    ends = np.clip(np.array([end for end, _ in solved]) if solved else points, lo, hi)
+    return _result(prob, _select(_candidates(prob, ends)), "slsqp",
+                   sum(iterations for _, iterations in solved), starts, started)
 
 
 def grid_oracle(vector: AttackVector, resolution: int, ignore: Iterable[str] = ()) -> OptimizationResult:
@@ -275,46 +293,26 @@ def grid_oracle(vector: AttackVector, resolution: int, ignore: Iterable[str] = (
     prob = problem(vector, ignore)
     evaluated = 0
 
-    def scan(lo: np.ndarray, hi: np.ndarray) -> tuple[bool, float, np.ndarray, float]:
-        """(feasible, objective, point, smallest scaled residual) at the first best
-        feasible point of the row-major mesh, or at its `lo` corner if none is.
-        A zero-width axis is one mesh line: its other lines repeat every point."""
+    def scan(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The `_select`ed row of the row-major mesh over [lo, hi], selected in each block and
+        then among the blocks.  A zero-width axis is one mesh line: its other lines repeat every point."""
         nonlocal evaluated
         shape = tuple(resolution if a < b else 1 for a, b in zip(lo, hi))
         axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, shape)]
-        size, winners = math.prod(shape), []  # per block: key, objective, point, worst
+        size = math.prod(shape)
         evaluated += size
+        winners = []  # each block's selected row
         for start in range(0, size, GRID_BLOCK):
             index = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, size)), shape)
-            pts = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
-            values = np.asarray(prob.objective(pts), dtype=float)
-            worst = prob.residuals(pts).min(axis=-1, initial=np.inf)
-            keys = np.where(worst >= -FEASIBILITY_TOL, values, -np.inf)
-            k = int(np.argmax(keys))  # copies, so no view keeps its block alive
-            winners.append((keys[k], float(values[k]), pts[k].copy(), float(worst[k])))
-        _, value, point, worst = winners[int(np.argmax([w[0] for w in winners]))]
-        return worst >= -FEASIBILITY_TOL, value, point, worst
+            winners.append(_select(_candidates(prob, np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1))))
+        return _select(np.array(winners))
 
     lo, hi = np.array(vector.bounds, dtype=float).T
     best = scan(lo, hi)
     cell = (hi - lo) / (resolution - 1)
-    while best[0]:  # zoom on the best point, each pass scanning the cells around it
-        fine = scan(np.maximum(lo, best[2] - cell), np.minimum(hi, best[2] + cell))
-        if fine[0] and fine[1] > best[1]:
-            best = fine
+    while best[1] >= -FEASIBILITY_TOL:  # zoom on the best point, each pass scanning the cells around it
+        best = _select(np.array([best, scan(np.maximum(lo, best[2:] - cell), np.minimum(hi, best[2:] + cell))]))
         cell = 2 * cell / (resolution - 1)
         if resolution <= 3 or (cell <= (hi - lo) / GRID_ZOOM).all():
             break
-
-    elapsed = time.perf_counter() - started
-    feasible, value, point, worst = best
-    return OptimizationResult(
-        best_params=tuple(float(v) for v in point),
-        best_objective=value,
-        max_violation=worst,
-        feasible=feasible,
-        iterations=evaluated,
-        wall_time=elapsed,
-        starts_tried=1,
-        method="grid",
-    )
+    return _result(prob, best, "grid", evaluated, 1, started)

@@ -31,7 +31,6 @@ from .models import (
     FlashLoanPool,
     LendingPool,
     MarginPlatform,
-    PositionError,
     Residual,
     WorldState,
     amm_swap_x_for_y,
@@ -49,8 +48,9 @@ from .models import (
 
 
 class EvaluationError(Exception):
-    """A step of the replay failed: a non-finite or undefined intermediate
-    value, or a call on a position that does not exist."""
+    """A step of the replay failed: one of its ops cannot execute at these
+    parameters (a negative amount, empty reserves, a repay without a
+    position) or gave a non-finite or undefined value."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -231,9 +231,9 @@ _OPS: dict[str, Callable] = {op.__name__: op for op in (
 def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]) -> EvaluationTrace:
     """Replay the chain on `scenario` with the given free parameters.
 
-    Negative residuals never raise; non-finite intermediates, arithmetic
-    failures and calls on missing positions raise :class:`EvaluationError`
-    carrying the offending step index.
+    Negative residuals never raise; every failure of an op (a ConfigError or
+    an arithmetic error) and every non-finite intermediate raises
+    :class:`EvaluationError` carrying the offending step index.
     """
     params = tuple(float(p) for p in params)
     if len(params) != vector.n_params:
@@ -260,7 +260,7 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
                     if not math.isfinite(r.value):
                         raise OverflowError(f"residual {r.name} is {r.value}")
                     residuals.append(Residual(r.name, r.value, i))
-        except (ArithmeticError, PositionError) as exc:
+        except (ArithmeticError, ConfigError) as exc:
             raise EvaluationError(i, str(exc)) from None
         if not math.isfinite(state.balance(vector.actor, vector.profit_asset)):
             raise EvaluationError(i, f"{vector.profit_asset} balance overflowed")
@@ -275,11 +275,10 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
 def replay_table(vector: AttackVector, scenario: WorldState, width: int) -> Callable[[np.ndarray], np.ndarray]:
     """`table(P)`: objective, then every residual, at each point of ``(..., n)``, as
     ``(..., width)``, from one call per row of the module's `evaluate` (tests and the
-    traced benchmark patch that name).  A row the chain cannot replay reads objective nan
-    and every residual -inf; a single point ``(n,)`` raises as `evaluate` does.  The last
-    table of each batch shape is kept, so the objective and residuals of a point or batch
-    share its replays even when a batch of another shape (a gradient's stencil) is read
-    in between."""
+    traced benchmark patch that name).  A row the chain cannot replay, a single point
+    ``(n,)`` too, reads objective nan and every residual -inf.  The last table of each
+    batch shape is kept, so the objective and residuals of a point or batch share its
+    replays even when a batch of another shape (a gradient's stencil) is read in between."""
     last: dict[tuple, tuple[bytes, np.ndarray]] = {}
 
     def table(p) -> np.ndarray:
@@ -295,8 +294,6 @@ def replay_table(vector: AttackVector, scenario: WorldState, width: int) -> Call
                 trace = evaluate(vector, scenario, point)
                 values[i] = [trace.objective_value, *(res.value for res in trace.residuals)]
             except EvaluationError:
-                if p.ndim == 1:
-                    raise
                 values[i] = [math.nan] + [-math.inf] * (width - 1)
         values = values.reshape(*p.shape[:-1], -1)
         last[p.shape] = (key, values)

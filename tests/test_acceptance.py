@@ -168,7 +168,7 @@ def test_criterion_05_oracle_constrained_resolve(oracle, oracle_state):
     result = solve(vector, ignore=("zY",), seed=0)
     p1, p2, p3 = result.best_params
     prob = problem(vector, ignore=("zY",))
-    scaled = dict(zip((c.name for c in prob.constraints), prob.residuals(result.best_params)))
+    scaled = dict(zip((c.name for c in prob.constraints), prob.values(result.best_params)[1:]))
     held = scaled.get(coupling.name, math.nan)
     budget = oracle_state.pool("flash").available
     report(5, "oracle re-solve with p2 <= 460 reaches the published parameters", [

@@ -31,8 +31,13 @@ def runner():
     return CliRunner()
 
 
+def reject_constant(name: str):
+    raise ValueError(f"{name} in a structured report")
+
+
 def stable(output: str) -> dict:
-    payload = json.loads(output)
+    """The report without its timing and versions, parsed as strict JSON: no NaN or Infinity."""
+    payload = json.loads(output, parse_constant=reject_constant)
     payload.pop("wall_time_s")
     payload.pop("versions")
     return payload
@@ -403,6 +408,55 @@ def test_failed_solve_runs_no_grid(runner, monkeypatch):
     assert res.stderr == "error: negative convert amount -0.0001\n"
 
 
+OPTIMIZE_ORACLE = ["optimize", "--scenario", "oracle_manipulation", "--vector", "oracle"]
+OPTIMIZE_DESCRIBED_PAA = ["optimize", "--scenario", "pump_arbitrage", "--vector", str(GOLDEN / "describe_paa.json")]
+
+# Boxes that reach points a model cannot evaluate: an op that cannot execute, or a closed form
+# that overflows.  These ended in exit 2 naming one such point, or printed numpy warnings, and
+# the report of one read NaN.
+PARTLY_EVALUABLE_BOXES = {
+    "described-paa-empty-reserves": ([*OPTIMIZE_DESCRIBED_PAA, "--bound", "p1:0:1e20", "--bound", "p2:0:1e20",
+                                      "--starts", "4", "--grid-res", "10"], 1),
+    "described-paa-negative-collateral": ([*OPTIMIZE_DESCRIBED_PAA, "--bound", "p1:-100:10000",
+                                           "--bound", "p2:9999:10000", "--grid-res", "10"], 1),
+    "oracle-reserve-quote-overflows": ([*OPTIMIZE_ORACLE, "--bound", "p2:0:3e5", "--grid-res", "20"], 0),
+}
+
+
+@pytest.mark.parametrize("case", PARTLY_EVALUABLE_BOXES)
+def test_points_the_model_cannot_evaluate_are_infeasible(runner, case):
+    argv, code = PARTLY_EVALUABLE_BOXES[case]
+    res = runner.invoke(main, ["--format", "structured", *argv])
+    assert (res.exit_code, res.stderr) == (code, ""), (res.output, res.exception)
+    stable(res.stdout)
+
+
+def test_a_described_box_past_what_can_execute_reaches_the_built_in_optimum(runner, tmp_path):
+    # the probe rows and the lower corner sit at a negative collateral, which cannot execute
+    doc = json.loads((GOLDEN / "describe_paa.json").read_text())
+    doc["bounds"][0] = [-1000.0, 10000.0]
+    chain = tmp_path / "paa.json"
+    chain.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["evaluate", "--scenario", "pump_arbitrage", "--vector", str(chain), "2470", "1456"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["--format", "structured", "optimize", "--scenario", "pump_arbitrage",
+                               "--vector", str(chain), "--starts", "4", "--grid-res", "40"])
+    assert (res.exit_code, res.stderr) == (0, ""), res.output
+    built_in = json.loads((GOLDEN / "optimize_paa.json").read_text())["results"]["solver"]["best_objective"]
+    assert stable(res.stdout)["results"]["solver"]["best_objective"] == pytest.approx(built_in, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv, box", [
+    ([*OPTIMIZE_ORACLE, "--bound", "p2:1e6:2e6", "--starts", "4", "--grid-res", "8"], "p2:1e+06:2e+06"),
+    ([*OPTIMIZE_ORACLE, "--bound", "p1:0:1e200"], "p1:0:1e+200"),
+    ([*OPTIMIZE_DESCRIBED_PAA, "--bound", "p1:-1000:-500", "--starts", "4"], "p1:-1000:-500"),
+], ids=["oracle-reserve-quote-overflows", "oracle-objective-overflows", "described-paa-no-start-replays"])
+def test_a_box_the_model_cannot_evaluate_exits_2_naming_it(runner, argv, box):
+    res = runner.invoke(main, argv)
+    assert_unusable_input(res)
+    assert box in res.stderr
+
+
 class TestOptimize:
     def test_paa_finds_documented_revenue(self, runner):
         res = runner.invoke(main, ["--format", "structured", "optimize",
@@ -726,37 +780,42 @@ class TestDescribe:
         assert results["objective"] == pytest.approx(6123.05, rel=1e-12)
 
 
-OPENBLAS = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS")  # flashsim's defaults; spawn strips them
-# Records the thread timeout and count OpenBLAS will read, at the moment numpy starts to load.
+OPENBLAS = "OPENBLAS_NUM_THREADS"  # flashsim's default; spawn strips it
+# Records the thread count OpenBLAS will read, at the moment numpy starts to load.
 SPY_ON_NUMPY = f"""
 import os, sys
-names = {OPENBLAS!r}
 seen = []
 class Spy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
-            seen.extend(os.environ.get(v) for v in names)
+            seen.append(os.environ.get({OPENBLAS!r}))
 sys.meta_path.insert(0, Spy())
 import flashsim.vectors
-print(*seen, *(os.environ[v] for v in names))
+print(*seen, os.environ[{OPENBLAS!r}])
 """
 
 
 def spawn(args, stdin=None, preexec_fn=None, **env):
     """`python <args>` in a fresh interpreter, with the package uninstalled on PYTHONPATH."""
-    environ = {k: v for k, v in os.environ.items() if k not in OPENBLAS}
+    environ = {k: v for k, v in os.environ.items() if k != OPENBLAS}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**environ, **env}, cwd=ROOT, stdin=stdin,
                           preexec_fn=preexec_fn, capture_output=True, text=True, timeout=600)
 
 
 class TestSpawnedCli:
-    @pytest.mark.parametrize("preset, expected", [(None, ["4", "1"]), (["30", "2"], ["30", "2"])],
-                             ids=["None-4", "30-30"])  # an exported value wins
-    def test_openblas_thread_timeout_is_set_before_numpy_loads(self, preset, expected):
-        res = spawn(["-c", SPY_ON_NUMPY], **({} if preset is None else dict(zip(OPENBLAS, preset))))
+    @pytest.mark.parametrize("exported, expected", [(None, "1"), ("2", "2")])  # an exported value wins
+    def test_openblas_thread_count_is_set_before_numpy_loads(self, exported, expected):
+        res = spawn(["-c", SPY_ON_NUMPY], **({} if exported is None else {OPENBLAS: exported}))
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == expected * 2
+        assert res.stdout.split() == [expected] * 2
+
+    @pytest.mark.parametrize("exported, expected", [(None, "1"), ("2", "2")])
+    def test_report_records_the_openblas_thread_count(self, exported, expected):
+        res = spawn(["-m", "flashsim.cli", "--format", "structured", "evaluate", "--scenario", "pump_arbitrage",
+                     "--vector", "paa", *POINTS["paa"]], **({} if exported is None else {OPENBLAS: exported}))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["versions"]["openblas_num_threads"] == expected
 
     def test_bare_package_import_loads_neither_numpy_nor_scipy(self):
         res = spawn(["-c", "import sys, flashsim; print(sorted({'numpy', 'scipy'} & sys.modules.keys()))"])

@@ -17,7 +17,6 @@ from flashsim.models import (
     InterestModel,
     LendingPool,
     MarginPlatform,
-    PositionError,
     Residual,
     STRICT_RESIDUAL_TOL,
     WorldState,
@@ -342,7 +341,7 @@ class TestLending:
         assert drawn > 0
 
     def test_repay_without_position_errors(self):
-        with pytest.raises(PositionError):
+        with pytest.raises(ConfigError, match="no open position"):
             collateralized_repay(self.state, "lend", A)
 
     def test_rate_override(self):

@@ -74,8 +74,10 @@ def full_mesh_grid(vector, resolution, ignore=()):
         worst = np.full(len(pts), np.inf)
         for c, scale in zip(prob.constraints, prob.scales):
             worst = np.minimum(worst, np.asarray(c.fn(pts), dtype=float) / scale)
-        feasible = worst >= -FEASIBILITY_TOL
-        i = int(np.argmax(np.where(feasible, values, -np.inf)))
+        evaluable = np.isfinite(values) & (worst > -np.inf)
+        feasible = evaluable & (worst >= -FEASIBILITY_TOL)
+        # the first best feasible point, else the first least violated one
+        i = int(np.argmax(np.where(feasible, values, -np.inf) if feasible.any() else np.where(evaluable, worst, -np.inf)))
         return bool(feasible.any()), float(values[i]), pts[i], float(worst[i])
 
     # zoom passes until the spacing is at most 1/GRID_ZOOM of the box; 2 or 3 mesh lines never shrink
@@ -101,6 +103,11 @@ def assert_grid_matches_full_mesh(vector, resolution, ignore=()):
     return grid
 
 
+def scaled_residuals(prob):
+    """`prob`'s scaled residuals alone, at a point or batch."""
+    return lambda p: prob.values(p)[..., 1:]
+
+
 def minimize_reference(vector, ignore=(), starts=16, seed=0):
     """The solver as one `scipy.optimize.minimize(method="SLSQP")` call per start, with SciPy
     differencing the objective and the constraints itself: the reference for the lockstep
@@ -110,6 +117,7 @@ def minimize_reference(vector, ignore=(), starts=16, seed=0):
     starts skipped."""
     prob = problem(vector, ignore)
     lo, hi = np.array(vector.bounds, dtype=float).T
+    residuals = scaled_residuals(prob)
 
     def finite(values):
         if not np.isfinite(values).all():
@@ -119,7 +127,7 @@ def minimize_reference(vector, ignore=(), starts=16, seed=0):
     def neg_obj(p):
         return -float(finite(prob.objective(p)))
 
-    constraints = [{"type": "ineq", "fun": lambda p: finite(prob.residuals(p))}] if prob.constraints else []
+    constraints = [{"type": "ineq", "fun": lambda p: finite(residuals(p))}] if prob.constraints else []
     ends, iterations, skipped = [], 0, 0
     points = latin_hypercube(starts, vector.bounds, seed)
     for x0 in points:
@@ -133,13 +141,10 @@ def minimize_reference(vector, ignore=(), starts=16, seed=0):
             continue
         iterations += int(res.nit)
         x = np.clip(res.x, lo, hi)
-        value = float(prob.objective(x))
-        if np.isfinite(value):
-            ends.append((value, x, float(prob.residuals(x).min(initial=np.inf))))
-    if skipped == starts:  # one row each, so a point the chain cannot replay reads nan
-        ends = [(float(prob.objective(x[None])[0]), x, float(prob.residuals(x[None]).min(initial=np.inf)))
-                for x in np.clip(points, lo, hi)]
-        ends = [end for end in ends if np.isfinite(end[0])]
+        ends.append((float(prob.objective(x)), x, float(residuals(x).min(initial=np.inf))))
+    if skipped == starts:
+        ends = [(float(prob.objective(x)), x, float(residuals(x).min(initial=np.inf))) for x in np.clip(points, lo, hi)]
+    ends = [end for end in ends if np.isfinite(end[0]) and end[2] > -np.inf]  # the evaluable ones
     feasible = [end for end in ends if end[2] >= -FEASIBILITY_TOL]
     value, x, worst = max(feasible, key=lambda end: end[0]) if feasible else max(ends, key=lambda end: end[2])
     return tuple(float(v) for v in x), value, worst, iterations, skipped
@@ -152,14 +157,9 @@ def nan_past_80(p):
 
 
 def capped_linear_vector():
-    """Maximize 2 p1 + 3 p2 with p1 <= 50; the objective fails to evaluate past p1 = 80 as a
-    replayed chain does: nan in the rows of a batch, EvaluationError at a single point."""
-    def objective(p):
-        if np.ndim(p) == 1 and p[0] > 80.0:
-            raise EvaluationError(1, "p1 past 80")
-        return nan_past_80(p)
+    """Maximize 2 p1 + 3 p2 with p1 <= 50; the objective fails to evaluate past p1 = 80."""
     cap = ConstraintSpec("cap", "p1 <= 50", 1, True, lambda p: 50.0 - np.asarray(p)[..., 0])
-    return replace(linear_test_vector(), constraints=(cap,), objective=objective)
+    return replace(linear_test_vector(), constraints=(cap,), objective=nan_past_80)
 
 
 class TestLockstepMatchesMinimize:
@@ -204,8 +204,7 @@ class TestLockstepMatchesMinimize:
 
     def test_closed_form_lane_is_dropped_at_its_first_nan(self):
         # a closed form is nan past p1 = 80 at a point and in a batch alike; lanes once ran through it
-        vector = replace(capped_linear_vector(), objective=nan_past_80)
-        skipped = [self.assert_matches(vector, seed=seed) for seed in range(4)]
+        skipped = [self.assert_matches(capped_linear_vector(), seed=seed) for seed in range(4)]
         assert all(0 < count < 16 for count in skipped)
 
     def test_when_every_start_drops_out_the_best_start_point_is_reported(self):
@@ -284,6 +283,22 @@ class TestSolve:
         result = solve(vector, seed=0)
         assert not result.feasible
         assert result.max_violation < 0
+
+    def test_a_box_with_no_point_it_can_evaluate_is_config_error(self):
+        # every start and every end is nan; this once named an evaluation error at a step 0
+        vector = replace(linear_test_vector(), objective=lambda p: np.full(np.shape(p)[:-1], np.nan))
+        with pytest.raises(ConfigError, match="no point tried in the box p1:0:100 p2:0:100"):
+            solve(vector, seed=0, starts=4)
+        with pytest.raises(ConfigError, match="no point tried in the box p1:0:100 p2:0:100"):
+            grid_oracle(vector, 5)
+
+    def test_a_residual_not_finite_at_the_lower_corner_is_scaled_by_1(self, paa, paa_state, oracle):
+        # a replay at a negative collateral raised, and an overflowing closed form warned and scaled by inf
+        described = with_bounds(parse_vector(describe(paa), paa_state), {0: (-100.0, 10000.0)})
+        assert (problem(described).scales == 1.0).all()
+        maxp = [c.name for c in oracle.constraints].index("maxP")
+        scales = problem(with_bounds(oracle, {1: (1e6, 2e6)})).scales
+        assert scales[maxp] == 1.0 and np.isfinite(scales).all()
 
     def test_ignoring_unknown_constraint_is_config_error(self, paa):
         with pytest.raises(ConfigError):
@@ -372,6 +387,18 @@ class TestGridOracle:
         assert not grid.feasible
         assert grid.best_params == (0.0, 0.0, 0.0)
         assert grid.max_violation == -1.0
+
+    def test_an_infeasible_box_reports_its_least_violated_point(self):
+        # the grid once fell back to its lo corner, here violated by 51 (1 after scaling by 51)
+        vector = replace(linear_test_vector((2.0, 3.0, 1.0)), constraints=(
+            ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -1.0 - np.abs(np.asarray(p)[..., 0] - 50.0)),))
+        grid = assert_grid_matches_full_mesh(vector, 17)
+        assert (grid.feasible, grid.best_params, grid.max_violation) == (False, (50.0, 0.0, 0.0), -1.0 / 51.0)
+
+    def test_points_it_cannot_evaluate_are_skipped(self):
+        # nan past p1 = 80 was the grid's best, being the first maximum numpy finds
+        grid = assert_grid_matches_full_mesh(replace(linear_test_vector(), objective=nan_past_80), 21)
+        assert (grid.feasible, grid.best_params, grid.best_objective) == (True, (80.0, 100.0), 460.0)
 
     def test_tie_goes_to_the_first_mesh_point(self):
         # the plateau p1 >= 50 starts at flat index 8 * 17 ** 2 and runs past the first block
@@ -469,12 +496,13 @@ class TestConstraintJacobian:
     @staticmethod
     def jacobian(prob, x):
         lo, hi = np.array(prob.bounds, dtype=float).T
-        return _forward_jacobian(prob.residuals, x[None], lo, hi, prob.residuals(np.clip(x, lo, hi))[None])[0]
+        residuals = scaled_residuals(prob)
+        return _forward_jacobian(residuals, x[None], lo, hi, residuals(np.clip(x, lo, hi))[None])[0]
 
     def assert_scipy_jacobian(self, prob, x):
         lo, hi = np.array(prob.bounds, dtype=float).T
         with np.errstate(invalid="ignore", divide="ignore"):
-            expected = approx_derivative(prob.residuals, x, method="2-point",
+            expected = approx_derivative(scaled_residuals(prob), x, method="2-point",
                                          abs_step=np.sqrt(np.finfo(float).eps), bounds=(lo, hi))
             jacobian = self.jacobian(prob, x)
         assert np.array_equal(jacobian, expected, equal_nan=True)

@@ -116,6 +116,11 @@ class TestEvaluate:
             evaluate(oracle, oracle_state, (0.0, 1e7, 0.0))
         assert err.value.step == 3
 
+    def test_an_op_that_cannot_execute_reports_its_step(self, paa, paa_state):
+        with pytest.raises(EvaluationError, match="negative collateral") as err:
+            evaluate(paa, paa_state, (-100.0, 500.0))
+        assert err.value.step == 2
+
     def test_step_indices_recorded(self, oracle, oracle_state):
         trace = evaluate(oracle, oracle_state, (10.0, 10.0, 10.0))
         assert len(trace.states) == len(oracle.steps) + 1
@@ -340,11 +345,12 @@ class TestDescription:
             assert np.ndim(point) == 0 and point == column[1][2]
 
     @pytest.mark.parametrize("name, failing", [
-        ("paa", [[1.0, 0.0], [0.0, 0.0]]),  # the ETH balance overflows at p1 = 1e308
-        ("oracle", [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),  # the reserve quote overflows at p2 = 1e308
+        ("paa", [[1.0, 0.5], [0.5, 0.5]]),  # the ETH balance overflows at p1 = 1e308
+        ("oracle", [[0.5, 1.0, 0.5], [0.5, 0.5, 0.5]]),  # the reserve quote overflows at p2 = 1e308
     ])
     def test_table_rows_are_the_scalar_replays(self, name, failing, request):
-        # a row the chain cannot replay reads nan and -inf; a ConfigError at any row stays fatal
+        # a row the chain cannot replay (an overflow, or an op refusing a negative amount) reads
+        # nan and -inf, and so does that point alone
         vector, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
         parsed = parse_vector(describe(vector), state)
         table = replay_table(parsed, state, 1 + len(parsed.constraints) + len(parsed.structural))
@@ -355,7 +361,7 @@ class TestDescription:
         @given(exponent=st.integers(0, 308), units=st.lists(unit, min_size=1, max_size=4))
         @example(exponent=308, units=failing)
         def rows_match(exponent, units):
-            batch = np.array(units) * 10.0 ** exponent  # points in [0, 10 ** exponent]
+            batch = (2.0 * np.array(units) - 1.0) * 10.0 ** exponent  # points in [-10 ** exponent, 10 ** exponent]
             expected = []
             for point in batch:
                 try:
@@ -364,18 +370,14 @@ class TestDescription:
                     seen.add("failed")
                     expected.append(None)
                     continue
-                except ConfigError:
-                    seen.add("config")
-                    with pytest.raises(ConfigError):
-                        table(batch)
-                    return
                 seen.add("replayed")
                 expected.append([trace.objective_value, *(r.value for r in trace.residuals)])
-            for row, values in zip(table(batch), expected, strict=True):
+            for point, row, values in zip(batch, table(batch), expected, strict=True):
                 if values is None:
                     assert math.isnan(row[0]) and (row[1:] == -math.inf).all()
                 else:
                     assert row.tobytes() == np.array(values).tobytes()  # bitwise
+                assert table(point).tobytes() == row.tobytes()
 
         rows_match()
         assert {"replayed", "failed"} <= seen
