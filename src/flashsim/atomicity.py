@@ -100,7 +100,9 @@ def _cheap_exchange(market: TwoExchangeMarket) -> tuple[str, str]:
 
 def _buy(market: TwoExchangeMarket, budget: float) -> tuple[list[float], list[float], int, float]:
     """The buy leg, in Python floats: (reserves after it, each row's fee, the
-    row of the pool to sell on, Y held)."""
+    row of the pool to sell on, Y held).  The budget must be finite and
+    positive and leave the bought pool some Y; with no price gap the profit
+    is simply <= 0, a result and not an error."""
     if not 0 < budget < np.inf:
         raise ConfigError(f"budget must be finite and positive, got {budget}")
     buy_on, sell_on = _cheap_exchange(market)
@@ -112,17 +114,6 @@ def _buy(market: TwoExchangeMarket, budget: float) -> tuple[list[float], list[fl
     if not reserves[row + 1] > 0:
         raise ConfigError(f"budget {budget:g} drains exchange {buy_on}'s Y reserve")
     return reserves, fees, _POOL_ROW[sell_on], held
-
-
-def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, float]:
-    """Buy Y with `budget` X where it is cheap, sell it on the other exchange.
-
-    Returns (profit, quantity held between the two legs).  With no price gap
-    the profit is simply <= 0; that is a result, not an error.  The budget
-    must be finite and positive and leave the bought pool some Y.
-    """
-    reserves, fees, sell_row, held = _buy(market, budget)
-    return _sell_y(reserves, fees, sell_row, held) - budget, held
 
 
 def non_atomic_arbitrage(
@@ -262,9 +253,6 @@ class ReplayStream:
 
     trace: tuple[TradeEvent, ...]
 
-    def events(self, trial: int = 0) -> tuple[TradeEvent, ...]:
-        return self.trace
-
 
 def parse_trace(text: str) -> ReplayStream:
     """Parse `block_index, exchange_id, direction(XY|YX), amount` lines."""
@@ -371,10 +359,6 @@ def sweep(
     rows = []
     for i in i_values:
         samples = differences[counts.index(i)]
-        if trials == 1:
-            low = high = float(samples[0])
-        else:
-            rng = np.random.default_rng((24181, i))
-            low, high = bootstrap_mean_ci(samples, rng)
+        low, high = bootstrap_mean_ci(samples, np.random.default_rng((24181, i)))
         rows.append(SweepRow(i, float(samples.mean()), low, high, trials))
     return rows

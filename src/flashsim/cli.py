@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -115,12 +116,22 @@ def main(ctx, seed, fmt, strict):
     ctx.obj = {"seed": seed, "format": fmt, "strict": strict}
 
 
+def _strict(value):
+    """`value` with every non-finite float as None, so that a report is strict JSON."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _command(name: str):
     """Register `body(obj, **options)` as the command `name`.
 
     The body returns (config echo, input hash, results, text lines, csv
     lines, exit code); the runner adds the seed to the echo and owns the
-    timer, the exit on unusable input, the report and its rendering.
+    timer, the exit on unusable input, the report and its rendering, where
+    a non-finite number is written as null.
     """
     def register(body):
         @functools.wraps(body)
@@ -134,7 +145,7 @@ def _command(name: str):
                       "scenario_hash": input_hash, "results": results, "versions": _versions(),
                       "wall_time_s": time.perf_counter() - started}
             if obj["format"] == "structured":
-                click.echo(json.dumps(report, sort_keys=True, indent=2))
+                click.echo(json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False))
             else:
                 click.echo("\n".join(csv if obj["format"] == "csv" else text))
             if code:
@@ -143,9 +154,15 @@ def _command(name: str):
     return register
 
 
+def _chain_options(command):
+    """The `--scenario` and `--vector` options of every command that reads a chain."""
+    command = click.option("--vector", "vector_name", required=True,
+                           help="Built-in vector (paa, oracle) or description file.")(command)
+    return click.option("--scenario", required=True, help="Bundled scenario name or JSON file.")(command)
+
+
 @_command("optimize")
-@click.option("--scenario", required=True, help="Bundled scenario name or JSON file.")
-@click.option("--vector", "vector_name", required=True, help="Built-in vector (paa, oracle) or description file.")
+@_chain_options
 @click.option("--ignore-constraint", "ignored", multiple=True, help="Constraint name to drop from the solve.")
 @click.option("--bound", "bound_overrides", multiple=True, help="Parameter bound override pN:LOW:HIGH.")
 @click.option("--starts", default=16, show_default=True)
@@ -158,9 +175,9 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, starts, grid_
     resolution = grid_res or {1: 2000, 2: 200, 3: 60}.get(vector.n_params, 0)
     if vector.n_params <= 3 and resolution < 2:  # the grid's own check, before any work
         raise ConfigError(f"--grid-res must be at least 2, got {resolution}")
-    best = solve(vector, ignored, starts, obj["seed"])
-    grid = grid_oracle(vector, resolution, ignored) if vector.n_params <= 3 else None
     prob = problem(vector, ignored)
+    best = solve(prob, starts, obj["seed"])
+    grid = grid_oracle(prob, resolution) if vector.n_params <= 3 else None
 
     rel_gap = None
     disagreement = False
@@ -168,19 +185,19 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, starts, grid_
         rel_gap = abs(best.best_objective - grid.best_objective) / max(1.0, abs(best.best_objective))
         disagreement = rel_gap > AGREEMENT_THRESHOLD
 
-    params = np.array(best.best_params)
+    points = np.array([best.best_params, *vector.reference_points.values()])
     scales = dict(zip(prob.constraints, prob.scales))
     constraint_rows = []
     notes = [f"residual {name!r} is zero by construction and not enforced" for name in vector.structural]
     for spec in vector.constraints:
-        value = float(spec.fn(params))
+        with np.errstate(all="ignore"):
+            value, *at_references = map(float, spec.fn(points))
         constraint_rows.append({"name": spec.name, "description": spec.description,
                                 "step": spec.step, "linear": spec.linear,
                                 "value_at_best": value, "ignored": spec.name in ignored})
         if spec.name not in ignored and abs(value) <= 1e-4 * scales[spec]:
-            for ref_name, ref_params in vector.reference_points.items():
-                ref_value = float(spec.fn(np.array(ref_params)))
-                if ref_value < -FEASIBILITY_TOL:
+            for (ref_name, ref_params), ref_value in zip(vector.reference_points.items(), at_references):
+                if ref_value / scales[spec] < -FEASIBILITY_TOL:
                     notes.append(
                         f"constraint {spec.name!r} is active at the reported optimum; "
                         f"reference point {ref_name} {tuple(ref_params)} violates it by "
@@ -227,8 +244,7 @@ def optimize(obj, scenario, vector_name, ignored, bound_overrides, starts, grid_
 
 
 @_command("evaluate")
-@click.option("--scenario", required=True)
-@click.option("--vector", "vector_name", required=True)
+@_chain_options
 @click.argument("params", nargs=-1, type=float, required=True)
 def evaluate_cmd(obj, scenario, vector_name, params):
     """Replay a vector at fixed parameters and print the full trace."""
@@ -346,8 +362,7 @@ def classify_cmd(obj, input_file, map_file, prices_file):
 
 
 @main.command("describe")
-@click.option("--scenario", required=True)
-@click.option("--vector", "vector_name", required=True)
+@_chain_options
 def describe_cmd(scenario, vector_name):
     """Emit a vector's chain in the reusable description-file format."""
     with _unusable_input():

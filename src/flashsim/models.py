@@ -309,12 +309,6 @@ def amm_swap_y_for_x(state: WorldState, amm_id: str, trader: Entity, amount: flo
     return _amm_swap(state, amm_id, trader, amount, x_in=False)
 
 
-def amm_spot_price_y(state: WorldState, amm_id: str) -> float:
-    """Marginal price of Y in X units: reserve_x / reserve_y."""
-    amm = _amm_checked(state, amm_id)
-    return amm.reserve_x / amm.reserve_y
-
-
 # ---------------------------------------------------------------------------
 # Automated price reserve
 # ---------------------------------------------------------------------------
@@ -418,14 +412,3 @@ def margin_short(state: WorldState, platform_id: str, trader: Entity, collateral
     locked = {**platform.locked, trader: platform.locked.get(trader, 0.0) + locked_out}
     pools[platform_id] = replace(platform, locked=locked)
     return state.transact(trader, ((platform.collateral_asset, -collateral),), pools), residuals
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-def compute_slippage(expected_price: float, executed_price: float) -> float:
-    """Relative drift of the executed price against the expected price."""
-    if expected_price <= 0:
-        raise ConfigError(f"expected price must be positive, got {expected_price}")
-    return (executed_price - expected_price) / expected_price

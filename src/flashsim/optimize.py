@@ -7,10 +7,10 @@ core: each round steps every running start once, then evaluates the points
 they ask for in one batch, so each start's iterates are those of its own
 ``minimize(method="SLSQP")`` call.  Residuals are normalized by the magnitude
 of their constant term so pools five orders of magnitude apart weigh
-comparably.  :class:`Problem`, built once per solve or scan by
+comparably.  :class:`Problem`, built once per `optimize` run by
 :func:`problem`, is the single place where residuals are scaled; the
 solver, the grid oracle and the CLI's constraint report read it.
-The solver reads only the vector: an :class:`~flashsim.vectors.AttackVector`
+The solver reads only the Problem: an :class:`~flashsim.vectors.AttackVector`
 captures the scenario when it is built or parsed, so solving on another
 scenario means building the vector on it.
 Objectives and constraints take a point or a batch, closed form and replayed
@@ -96,7 +96,12 @@ class Problem:
 
 
 def problem(vector: AttackVector, ignore: Iterable[str] = ()) -> Problem:
-    """The solver's view of `vector`, minus the ignored constraints."""
+    """The solver's view of `vector`, minus the ignored constraints; a ConfigError if the
+    vector has no free parameter or an infinite bound, or an ignored name is unknown."""
+    if vector.n_params < 1:
+        raise ConfigError("vector has no free parameters")
+    if not np.isfinite(vector.bounds).all():
+        raise ConfigError("solver needs finite bounds")
     ignored = set(ignore)
     unknown = ignored - {c.name for c in vector.constraints} - set(vector.structural)
     if unknown:
@@ -249,8 +254,8 @@ def _lockstep_slsqp(prob: Problem, starts: np.ndarray, free: np.ndarray) -> list
     return [(full(lane.x[None])[0], lane.state["iter"]) for lane in lanes if not lane.failed]
 
 
-def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, seed: int = 0) -> OptimizationResult:
-    """Maximize the vector objective subject to its accumulated constraints.
+def solve(prob: Problem, starts: int = 16, seed: int = 0) -> OptimizationResult:
+    """Maximize the objective of `prob` subject to its active constraints.
 
     Multi-start over a seeded Latin hypercube; returns the best feasible
     point, or an explicitly infeasible result (never a silent zero) when no
@@ -261,15 +266,9 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
     """
     if starts < 1:
         raise ConfigError(f"--starts must be at least 1, got {starts}")
-    if vector.n_params < 1:
-        raise ConfigError("vector has no free parameters")
-    if any(not np.isfinite([lo, hi]).all() for lo, hi in vector.bounds):
-        raise ConfigError("solver needs finite bounds")
-
     started = time.perf_counter()
-    prob = problem(vector, ignore)
-    lo, hi = np.array(vector.bounds, dtype=float).T
-    points = latin_hypercube(starts, vector.bounds, seed)
+    lo, hi = np.array(prob.bounds, dtype=float).T
+    points = latin_hypercube(starts, prob.bounds, seed)
     free = lo < hi
     # with every parameter fixed, each start ends where SciPy leaves it: at the lower corner
     solved = _lockstep_slsqp(prob, points, free) if free.any() else [(lo, 0)] * starts
@@ -278,19 +277,18 @@ def solve(vector: AttackVector, ignore: Iterable[str] = (), starts: int = 16, se
                    sum(iterations for _, iterations in solved), starts, started)
 
 
-def grid_oracle(vector: AttackVector, resolution: int, ignore: Iterable[str] = ()) -> OptimizationResult:
+def grid_oracle(prob: Problem, resolution: int) -> OptimizationResult:
     """Exhaustive feasible-box scan, then zoom passes around the best point until the mesh
     spacing is at most 1/GRID_ZOOM of the box (one pass at 2 or 3 mesh lines, which never shrink).
 
     Independent of the gradient solver; used to certify its results.  Only
     supported for up to three free parameters (desk-scale exhaustion).
     """
-    if vector.n_params > 3:
-        raise ValueError(f"grid oracle supports at most 3 parameters, got {vector.n_params}")
+    if len(prob.bounds) > 3:
+        raise ValueError(f"grid oracle supports at most 3 parameters, got {len(prob.bounds)}")
     if resolution < 2:
         raise ConfigError("grid resolution must be at least 2")
     started = time.perf_counter()
-    prob = problem(vector, ignore)
     evaluated = 0
 
     def scan(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -307,7 +305,7 @@ def grid_oracle(vector: AttackVector, resolution: int, ignore: Iterable[str] = (
             winners.append(_select(_candidates(prob, np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1))))
         return _select(np.array(winners))
 
-    lo, hi = np.array(vector.bounds, dtype=float).T
+    lo, hi = np.array(prob.bounds, dtype=float).T
     best = scan(lo, hi)
     cell = (hi - lo) / (resolution - 1)
     while best[1] >= -FEASIBILITY_TOL:  # zoom on the best point, each pass scanning the cells around it

@@ -27,9 +27,7 @@ from flashsim.cli import main as cli_main
 from flashsim.models import (
     AutomatedPriceReserve,
     ConstantProductAmm,
-    amm_spot_price_y,
     amm_swap_x_for_y,
-    compute_slippage,
     margin_short,
     reserve_convert_x_to_y,
 )
@@ -48,6 +46,7 @@ from flashsim.vectors import (
 )
 
 from differences import finite_diff_gradient
+from references import amm_spot_price_y, compute_slippage
 
 RNG = np.random.default_rng(314159)
 
@@ -90,7 +89,7 @@ def test_criterion_01_executed_paa_revenue(paa, paa_state):
 
 def test_criterion_02_paa_optimum(paa):
     begun = time.perf_counter()
-    result = solve(paa, seed=0, starts=16)
+    result = solve(problem(paa), seed=0, starts=16)
     elapsed = time.perf_counter() - begun
     p1, p2 = result.best_params
     report(2, "pump-and-arbitrage optimum", [
@@ -103,7 +102,7 @@ def test_criterion_02_paa_optimum(paa):
 
 
 def test_criterion_03_paa_constrained_resolve(paa):
-    result = solve(with_bounds(paa, {1: (0.0, 1344.0)}), seed=0)
+    result = solve(problem(with_bounds(paa, {1: (0.0, 1344.0)})), seed=0)
     p1, p2 = result.best_params
     report(3, "pump-and-arbitrage re-solve with p2 <= 1344", [
         ("p1 within 1% of 2404", abs(p1 - 2404.0) <= 0.01 * 2404.0, f"got {p1:.2f}"),
@@ -113,8 +112,8 @@ def test_criterion_03_paa_constrained_resolve(paa):
 
 def test_criterion_04_oracle_optimum(oracle, oracle_state):
     trace = evaluate(oracle, oracle_state, (898.58, 546.80, 3517.86))
-    ignored = solve(oracle, ignore=("zY",), seed=0)
-    enforced = solve(oracle, seed=0)
+    ignored = solve(problem(oracle, ("zY",)), seed=0)
+    enforced = solve(problem(oracle), seed=0)
     zy = [c for c in oracle.constraints if c.name == "zY"][0]
     drawn = 11086.29 - float(zy.fn(np.array(enforced.best_params)))
     cli = CliRunner().invoke(cli_main, ["--format", "structured", "optimize",
@@ -165,7 +164,7 @@ def test_criterion_05_oracle_constrained_resolve(oracle, oracle_state):
     coupling = reserve_quote_coupling(oracle_state)
     vector = with_bounds(replace(oracle, constraints=oracle.constraints + (coupling,)),
                          {1: (0.0, 460.0)})
-    result = solve(vector, ignore=("zY",), seed=0)
+    result = solve(problem(vector, ("zY",)), seed=0)
     p1, p2, p3 = result.best_params
     prob = problem(vector, ignore=("zY",))
     scaled = dict(zip((c.name for c in prob.constraints), prob.values(result.best_params)[1:]))
@@ -214,10 +213,10 @@ def test_criterion_06_model_cross_checks(paa_state, oracle_state):
 
 
 def test_criterion_07_oracle_dominance(paa, oracle):
-    paa_solve = solve(paa, seed=0)
-    paa_grid = grid_oracle(paa, 200)
-    orc_solve = solve(oracle, seed=0)
-    orc_grid = grid_oracle(oracle, 60)
+    paa_solve = solve(problem(paa), seed=0)
+    paa_grid = grid_oracle(problem(paa), 200)
+    orc_solve = solve(problem(oracle), seed=0)
+    orc_grid = grid_oracle(problem(oracle), 60)
     paa_gap = abs(paa_solve.best_objective - paa_grid.best_objective) / paa_solve.best_objective
     orc_gap = abs(orc_solve.best_objective - orc_grid.best_objective) / orc_solve.best_objective
     report(7, "gradient solver and exhaustive grid agree", [
@@ -363,10 +362,10 @@ def test_criterion_11_analytics_round_trip():
 
 def test_criterion_12_solver_timing(paa, oracle):
     begun = time.perf_counter()
-    solve(paa, seed=0)
+    solve(problem(paa), seed=0)
     paa_elapsed = time.perf_counter() - begun
     begun = time.perf_counter()
-    solve(oracle, seed=0)
+    solve(problem(oracle), seed=0)
     oracle_elapsed = time.perf_counter() - begun
     report(12, "solver wall time within 100x of the reported 6.1 ms / 12.9 ms", [
         ("pump-and-arbitrage solve under 1.3 s", paa_elapsed < 1.3, f"{paa_elapsed:.3f} s"),

@@ -16,7 +16,6 @@ from flashsim.atomicity import (
     SyntheticStream,
     TradeEvent,
     TwoExchangeMarket,
-    atomic_arbitrage,
     bootstrap_mean_ci,
     load_trace,
     non_atomic_arbitrage,
@@ -24,6 +23,8 @@ from flashsim.atomicity import (
     sweep,
 )
 from flashsim.models import ConfigError, ConstantProductAmm, constant_product_swap
+
+from references import atomic_arbitrage
 
 GOLDEN = Path(__file__).parent / "golden" / "atomicity_sweep.json"
 TRACE = Path(__file__).parents[1] / "src" / "flashsim" / "data" / "sample_trades.csv"
@@ -109,17 +110,17 @@ class TestAtomic:
 
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
-            atomic_arbitrage(market(), budget=0.0)
+            sweep(market(), 0.0, SyntheticStream(seed=0, size=0), [0], trials=1)
 
     @pytest.mark.parametrize("budget", [float("inf"), float("nan"), -1.0])
     def test_budget_must_be_finite_and_positive(self, budget):
         with pytest.raises(ConfigError, match="finite and positive"):
-            atomic_arbitrage(market(), budget)
+            sweep(market(), budget, SyntheticStream(seed=0, size=0), [0], trials=1)
 
     def test_budget_that_drains_the_bought_pool_is_rejected(self):
         # 1e20 X into 100 X / 35000 Y rounds the Y reserve to 0.0
         with pytest.raises(ConfigError, match="drains"):
-            atomic_arbitrage(market(), 1e20)
+            sweep(market(), 1e20, SyntheticStream(seed=0, size=0), [0], trials=1)
 
     def test_mismatched_pairs_rejected(self):
         with pytest.raises(ConfigError):
@@ -298,7 +299,8 @@ class TestLockstepSweep:
         monkeypatch.setattr(atomicity, "bootstrap_mean_ci", capture)
         rows = sweep(m, 2.0, stream, i_values, trials)
         expected = np.ascontiguousarray(np.array(
-            [reference_differences(m, 2.0, stream.events(t), i_values) for t in range(trials)]).T)
+            [reference_differences(m, 2.0, stream.trace if isinstance(stream, ReplayStream) else stream.events(t),
+                                   i_values) for t in range(trials)]).T)
         assert [r.intermediaries for r in rows] == i_values
         assert len(captured) == len(i_values)
         for row, samples, reference in zip(rows, captured, expected):

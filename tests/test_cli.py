@@ -13,12 +13,14 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flashsim import cli
+from flashsim import cli, optimize
 from flashsim.cli import main
 from flashsim.models import ConfigError
 from flashsim.scenario import builtin_scenario
-from flashsim.vectors import build_oracle_vector, describe
+from flashsim.vectors import BUILTIN_VECTORS, build_oracle_vector, describe
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -316,6 +318,8 @@ ATOMICITY = ["atomicity", "--market", str(GOLDEN / "market.json"), "--budget", "
 UNUSABLE_OPTIONS = {
     "starts-zero": [*OPTIMIZE_PAA, "--starts", "0"],
     "starts-negative": [*OPTIMIZE_PAA, "--starts", "-2"],
+    # the problem is built before the solve, so its error comes first
+    "starts-zero-unknown-constraint": [*OPTIMIZE_PAA, "--starts", "0", "--ignore-constraint", "nope"],
     "amount-scale-nan": [*ATOMICITY, "--amount-scale", "nan"],
     "amount-scale-negative": [*ATOMICITY, "--amount-scale", "-1"],
     "sigma-nan": [*ATOMICITY, "--sigma", "nan"],
@@ -344,7 +348,8 @@ NAMED_OPTION = {"seed-negative": "--seed", "describe-seed-negative": "--seed", "
                 "i-values-fraction": "--i-values", "i-values-negative": "--i-values",
                 "i-values-one-negative": "--i-values", "trials-zero": "--trials", "trials-negative": "--trials",
                 "grid-res-one": "--grid-res", "grid-res-negative": "--grid-res",
-                "starts-zero": "--starts", "starts-negative": "--starts"}
+                "starts-zero": "--starts", "starts-negative": "--starts",
+                "starts-zero-unknown-constraint": "'nope'"}
 
 
 @pytest.mark.parametrize("case", UNUSABLE_OPTIONS, ids=list(UNUSABLE_OPTIONS))
@@ -455,6 +460,79 @@ def test_a_box_the_model_cannot_evaluate_exits_2_naming_it(runner, argv, box):
     res = runner.invoke(main, argv)
     assert_unusable_input(res)
     assert box in res.stderr
+
+
+CHAINS = {"paa": "pump_arbitrage", "oracle": "oracle_manipulation"}
+BUILT_IN = {name: BUILTIN_VECTORS[name](builtin_scenario(scenario)[0]) for name, scenario in CHAINS.items()}
+NON_FINITE_REPORTS = {  # each wrote -Infinity or Infinity, the first also a numpy warning on stderr
+    "ignored-constraint-overflows-at-the-optimum": (
+        [*OPTIMIZE_ORACLE, "--ignore-constraint", "maxP", "--bound", "p2:1e6:2e6", "--starts", "2", "--grid-res", "8"],
+        1, lambda results: [row["value_at_best"] for row in results["constraints"] if row["name"] == "maxP"],
+        "value -inf  [ignored]"),
+    "every-constraint-ignored": (
+        [*OPTIMIZE_PAA, *(arg for c in BUILT_IN["paa"].constraints for arg in ("--ignore-constraint", c.name)),
+         "--starts", "2", "--grid-res", "10"],
+        0, lambda results: [results["solver"]["max_violation"], results["grid"]["max_violation"]],
+        "worst scaled residual inf"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_REPORTS)
+def test_a_non_finite_number_is_written_as_null(runner, case):
+    argv, code, read, text = NON_FINITE_REPORTS[case]
+    res = runner.invoke(main, ["--format", "structured", *argv])
+    assert (res.exit_code, res.stderr) == (code, ""), (res.output, res.exception)
+    assert read(stable(res.stdout)["results"]) in ([None], [None, None])
+    res = runner.invoke(main, argv)
+    assert (res.exit_code, res.stderr) == (code, "") and text in res.stdout  # the text keeps the number
+
+
+@st.composite
+def optimize_argv(draw):
+    """A small built-in `optimize` run with random bound boxes inside [0, 1e7] and ignored constraints."""
+    name = draw(st.sampled_from(sorted(CHAINS)))
+    argv = ["--format", "structured", "optimize", "--scenario", CHAINS[name], "--vector", name,
+            "--starts", "2", "--grid-res", "8"]
+    for index in sorted(draw(st.sets(st.integers(1, BUILT_IN[name].n_params)))):
+        low, high = draw(st.floats(0.0, 1e7)), draw(st.floats(0.0, 1e7))
+        argv += ["--bound", f"p{index}:{low!r}:{high!r}"]
+    for constraint in sorted(draw(st.sets(st.sampled_from([c.name for c in BUILT_IN[name].constraints])))):
+        argv += ["--ignore-constraint", constraint]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(optimize_argv())
+@example(["--format", "structured", *NON_FINITE_REPORTS["ignored-constraint-overflows-at-the-optimum"][0]])
+@example(["--format", "structured", *NON_FINITE_REPORTS["every-constraint-ignored"][0]])
+def test_every_optimize_run_exits_with_a_documented_code(argv):
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code in (0, 1, 2), (res.output, res.exception)
+    if res.exit_code == 2:
+        assert_unusable_input(res)
+    else:
+        assert res.stderr == "", res.stderr
+        stable(res.stdout)
+
+
+@pytest.mark.parametrize("argv", [OPTIMIZE_PAA, OPTIMIZE_ORACLE,
+                                  [*OPTIMIZE_DESCRIBED_PAA, "--starts", "4", "--grid-res", "40"]],
+                         ids=["paa", "oracle", "described-paa"])
+def test_one_problem_per_optimize_run(runner, monkeypatch, argv):
+    built, real = [], cli.problem
+    monkeypatch.setattr(cli, "problem", lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(optimize, "problem", lambda *args: pytest.fail("solve or the grid built a problem"))
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, (res.output, res.exception)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", ["optimize", "evaluate", "describe"])
+def test_chain_options_say_what_they_take(runner, command):
+    # evaluate and describe showed a bare `--scenario TEXT [required]`
+    shown = " ".join(runner.invoke(main, [command, "--help"]).stdout.split())
+    assert "--scenario TEXT Bundled scenario name or JSON file. [required]" in shown
+    assert "--vector TEXT Built-in vector (paa, oracle) or description file. [required]" in shown
 
 
 class TestOptimize:

@@ -20,12 +20,10 @@ from flashsim.models import (
     Residual,
     STRICT_RESIDUAL_TOL,
     WorldState,
-    amm_spot_price_y,
     amm_swap_x_for_y,
     amm_swap_y_for_x,
     collateralized_borrow,
     collateralized_repay,
-    compute_slippage,
     flash_loan,
     flash_repay,
     margin_short,
@@ -34,6 +32,8 @@ from flashsim.models import (
     sell_x_for_y_fixed,
 )
 from flashsim.scenario import builtin_scenario
+
+from references import amm_spot_price_y, compute_slippage
 
 A = "adversary"
 

@@ -96,7 +96,7 @@ def full_mesh_grid(vector, resolution, ignore=()):
 
 
 def assert_grid_matches_full_mesh(vector, resolution, ignore=()):
-    grid = grid_oracle(vector, resolution, ignore=ignore)
+    grid = grid_oracle(problem(vector, ignore), resolution)
     expected, meshes = full_mesh_grid(vector, resolution, ignore)
     assert (grid.feasible, grid.best_objective, grid.best_params, grid.max_violation) == expected
     assert grid.iterations == resolution ** vector.n_params * meshes
@@ -167,7 +167,7 @@ class TestLockstepMatchesMinimize:
 
     @staticmethod
     def assert_matches(vector, ignore=(), **settings):
-        result = solve(vector, ignore, **settings)
+        result = solve(problem(vector, ignore), **settings)
         expected = minimize_reference(vector, ignore, **settings)
         assert (result.best_params, result.best_objective, result.max_violation, result.iterations) == expected[:4]
         return expected[4]
@@ -214,7 +214,7 @@ class TestLockstepMatchesMinimize:
         assert self.assert_matches(vector, seed=0) == 16
         starts = latin_hypercube(16, vector.bounds, 0)
         best = max((p for p in starts if p[1] <= 50.0), key=lambda p: 2.0 * p[0] + 3.0 * p[1])
-        assert solve(vector, seed=0).best_params == tuple(best)
+        assert solve(problem(vector), seed=0).best_params == tuple(best)
 
     def test_described_lane_is_dropped_where_the_chain_cannot_replay(self, paa, paa_state):
         # past p1 of about 1e306 the replay overflows; those rows read nan and -inf
@@ -228,14 +228,14 @@ class TestLockstepMatchesMinimize:
         described = parse_vector(describe(paa), paa_state)
         replayed, real = [], vectors.evaluate
         monkeypatch.setattr(vectors, "evaluate", lambda v, s, p: replayed.append(tuple(p)) or real(v, s, p))
-        solve(described, seed=0, starts=4)
+        solve(problem(described), seed=0, starts=4)
         assert (len(replayed), len(set(replayed))) == (155, 151)
 
 
 class TestSolve:
     def test_paa_reaches_documented_optimum(self, paa):
         begun = time.perf_counter()
-        result = solve(paa, seed=0)
+        result = solve(problem(paa), seed=0)
         elapsed = time.perf_counter() - begun
         assert result.feasible
         assert result.best_objective >= 2778.94 * 0.995
@@ -246,32 +246,32 @@ class TestSolve:
 
     def test_paa_resolve_with_tighter_margin_bound(self, paa):
         tightened = with_bounds(paa, {1: (0.0, 1344.0)})
-        result = solve(tightened, seed=0)
+        result = solve(problem(tightened), seed=0)
         assert result.best_params[0] == pytest.approx(2404.0, rel=1e-2)
         assert result.best_params[1] == pytest.approx(1344.0, rel=1e-2)
         # closed-form value at the constrained optimum
         assert result.best_objective == pytest.approx(2456.946, rel=1e-3)
 
     def test_oracle_with_liquidity_ignored_beats_documented_revenue(self, oracle):
-        result = solve(oracle, ignore=("zY",), seed=0)
+        result = solve(problem(oracle, ("zY",)), seed=0)
         assert result.feasible
         assert result.best_objective >= 6323.93 * 0.995
 
     def test_oracle_enforced_sits_on_liquidity_boundary(self, oracle):
-        result = solve(oracle, seed=0)
+        result = solve(problem(oracle), seed=0)
         assert result.feasible
         zy = [c for c in oracle.constraints if c.name == "zY"][0]
         drawn = 11086.29 - float(zy.fn(np.array(result.best_params)))
         assert drawn == pytest.approx(11086.29, abs=0.05)
 
     def test_reported_objective_matches_fresh_replay(self, paa, paa_state):
-        result = solve(paa, seed=3)
+        result = solve(problem(paa), seed=3)
         replayed = evaluate(paa, paa_state, result.best_params).objective_value
         assert math.isclose(result.best_objective, replayed, rel_tol=1e-9)
 
     def test_seed_determinism(self, paa):
-        a = solve(paa, seed=11)
-        b = solve(paa, seed=11)
+        a = solve(problem(paa), seed=11)
+        b = solve(problem(paa), seed=11)
         assert a.best_params == b.best_params
         assert a.best_objective == b.best_objective
         assert a.iterations == b.iterations
@@ -280,7 +280,7 @@ class TestSolve:
         impossible = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -1.0)
         vector = linear_test_vector()
         vector = AttackVector(**{**vector.__dict__, "constraints": (impossible,)})
-        result = solve(vector, seed=0)
+        result = solve(problem(vector), seed=0)
         assert not result.feasible
         assert result.max_violation < 0
 
@@ -288,9 +288,9 @@ class TestSolve:
         # every start and every end is nan; this once named an evaluation error at a step 0
         vector = replace(linear_test_vector(), objective=lambda p: np.full(np.shape(p)[:-1], np.nan))
         with pytest.raises(ConfigError, match="no point tried in the box p1:0:100 p2:0:100"):
-            solve(vector, seed=0, starts=4)
+            solve(problem(vector), seed=0, starts=4)
         with pytest.raises(ConfigError, match="no point tried in the box p1:0:100 p2:0:100"):
-            grid_oracle(vector, 5)
+            grid_oracle(problem(vector), 5)
 
     def test_a_residual_not_finite_at_the_lower_corner_is_scaled_by_1(self, paa, paa_state, oracle):
         # a replay at a negative collateral raised, and an overflowing closed form warned and scaled by inf
@@ -302,17 +302,26 @@ class TestSolve:
 
     def test_ignoring_unknown_constraint_is_config_error(self, paa):
         with pytest.raises(ConfigError):
-            solve(paa, ignore=("nope",))
+            problem(paa, ("nope",))
+
+    @pytest.mark.parametrize("change, error", [
+        ({"n_params": 0, "bounds": ()}, "no free parameters"),
+        ({"bounds": ((0.0, 100.0), (0.0, np.inf))}, "finite bounds"),
+    ], ids=["no-parameters", "infinite-bound"])
+    def test_a_vector_the_solver_and_the_grid_cannot_search_is_config_error(self, change, error):
+        # solve alone refused these; the grid read the vector's bounds itself
+        with pytest.raises(ConfigError, match=error):
+            problem(replace(linear_test_vector(), **change))
 
     def test_feasible_results_respect_tolerance(self, oracle):
-        result = solve(oracle, seed=5)
+        result = solve(problem(oracle), seed=5)
         assert result.max_violation >= -1e-6
 
     def test_fixed_parameter_is_solved_over_the_others(self, oracle):
         # SciPy drops a parameter fixed by its bounds only while it differences
         # the constraints itself; a Jacobian with its NaN column stalls SLSQP
         fixed = with_bounds(oracle, {0: (300.0, 300.0)})
-        result = solve(fixed, seed=0, starts=4)
+        result = solve(problem(fixed), seed=0, starts=4)
         assert result.feasible
         assert result.best_params[0] == 300.0
         assert result.best_objective == pytest.approx(546.7721097, rel=1e-8)
@@ -324,21 +333,21 @@ def test_described_chain_reaches_the_built_in_optimum(name, seed, request):
     # a central stencil and residuals that are zero by construction left these seeds low or crashing
     vector = request.getfixturevalue(name)
     described = parse_vector(describe(vector), request.getfixturevalue(f"{name}_state"))
-    built_in, replayed = solve(vector, seed=seed, starts=4), solve(described, seed=seed, starts=4)
+    built_in, replayed = solve(problem(vector), seed=seed, starts=4), solve(problem(described), seed=seed, starts=4)
     assert built_in.feasible and replayed.feasible
     assert replayed.best_objective == pytest.approx(built_in.best_objective, rel=1e-6)
 
 
 class TestGridOracle:
     def test_paa_agreement_within_one_percent(self, paa):
-        best = solve(paa, seed=0)
-        grid = grid_oracle(paa, 200)
+        best = solve(problem(paa), seed=0)
+        grid = grid_oracle(problem(paa), 200)
         assert grid.feasible
         assert abs(best.best_objective - grid.best_objective) <= 0.01 * best.best_objective
 
     def test_oracle_agreement_within_two_percent(self, oracle):
-        best = solve(oracle, seed=0)
-        grid = grid_oracle(oracle, 60)
+        best = solve(problem(oracle), seed=0)
+        grid = grid_oracle(problem(oracle), 60)
         assert grid.feasible
         assert abs(best.best_objective - grid.best_objective) <= 0.02 * best.best_objective
 
@@ -348,7 +357,7 @@ class TestGridOracle:
             actor="adversary", profit_asset="X", objective_name="constant",
             constraints=(), objective=lambda p: np.asarray(p, dtype=float)[..., 0] * 0.0 + 7.0,
         )
-        grid = grid_oracle(flat, 5)
+        grid = grid_oracle(problem(flat), 5)
         assert grid.feasible
         assert grid.best_objective == 7.0
         assert all(v in (0.0, 0.25, 0.5, 0.75, 1.0) for v in grid.best_params)
@@ -360,17 +369,17 @@ class TestGridOracle:
             constraints=(), objective=lambda p: 0.0,
         )
         with pytest.raises(ValueError):
-            grid_oracle(too_big, 5)
+            grid_oracle(problem(too_big), 5)
 
     def test_resolution_validation(self, paa):
         with pytest.raises(ConfigError):
-            grid_oracle(paa, 1)
+            grid_oracle(problem(paa), 1)
 
     def test_infeasible_box_flagged(self):
         impossible = ConstraintSpec("never", "unsatisfiable", 1, True, lambda p: -np.ones(np.asarray(p).shape[:-1]) if np.asarray(p).ndim > 1 else -1.0)
         vector = linear_test_vector()
         vector = AttackVector(**{**vector.__dict__, "constraints": (impossible,)})
-        grid = grid_oracle(vector, 5)
+        grid = grid_oracle(problem(vector), 5)
         assert not grid.feasible
 
     @pytest.mark.parametrize("name, resolution, ignore", [
@@ -414,7 +423,7 @@ class TestGridOracle:
     def test_a_fixed_axis_is_scanned_as_one_mesh_line(self, name, fixed, request):
         # a fixed axis was scanned at full resolution, every line the same points
         vector = with_bounds(request.getfixturevalue(name), fixed)
-        grid = grid_oracle(vector, 17)
+        grid = grid_oracle(problem(vector), 17)
         expected, meshes = full_mesh_grid(vector, 17)
         assert (grid.feasible, grid.best_objective, grid.best_params, grid.max_violation) == expected
         assert grid.feasible
@@ -437,7 +446,7 @@ class TestGridOracle:
     def test_memory_is_bounded_at_any_resolution(self, oracle, resolution):
         tracemalloc.start()
         try:
-            grid_oracle(oracle, resolution)
+            grid_oracle(problem(oracle), resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -293,7 +293,7 @@ class TestDescription:
         parsed = parse_vector(json.loads(DESCRIBED_PAA.read_text()), paa_state)
         assert len(replays) <= 7  # one per distinct probe point
         replays.clear()
-        grid_oracle(parsed, 40)
+        grid_oracle(problem(parsed), 40)
         # objective and every residual of a point share its replay
         assert len(replays) <= 2 * 40 ** 2 + 1
 
