@@ -82,14 +82,20 @@ def paired_inverse_stream(
     return tuple(events)
 
 
+def atomic_profit(m: TwoExchangeMarket, budget: float) -> float:
+    """The atomic profit the sweep reports, which with no event between the legs
+    is also the reference's two swaps, bit for bit."""
+    profit = non_atomic_arbitrage(m, budget, (), 0).aarb
+    assert profit == atomic_arbitrage(m, budget)[0]
+    return profit
+
+
 class TestAtomic:
     def test_identical_pools_no_gap(self):
         # finite round trips through equal pools pay slippage: never a profit,
         # and the loss vanishes with the trade size
-        profit, _ = atomic_arbitrage(market(by=35000.0), budget=5.0)
-        assert profit <= 0
-        tiny, _ = atomic_arbitrage(market(by=35000.0), budget=1e-6)
-        assert tiny == pytest.approx(0.0, abs=1e-9)
+        assert atomic_profit(market(by=35000.0), budget=5.0) <= 0
+        assert atomic_profit(market(by=35000.0), budget=1e-6) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_hop_profit_from_closed_form(self):
         # independent arithmetic: buy on b (DAI-richer), sell on a
@@ -99,14 +105,13 @@ class TestAtomic:
         )
         bought = 121.0 * 5.0 / (100.0 + 5.0)
         proceeds = 100.0 * bought / (100.0 + bought)
-        profit, held = atomic_arbitrage(m, budget=5.0)
-        assert held == pytest.approx(bought, rel=1e-12)
+        profit = atomic_profit(m, budget=5.0)
+        assert atomic_arbitrage(m, budget=5.0)[1] == pytest.approx(bought, rel=1e-12)
         assert profit == pytest.approx(proceeds - 5.0, rel=1e-12)
         assert profit > 0
 
     def test_vanishing_budget_vanishing_profit(self):
-        profit, _ = atomic_arbitrage(market(), budget=1e-9)
-        assert abs(profit) < 1e-9
+        assert abs(atomic_profit(market(), budget=1e-9)) < 1e-9
 
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
@@ -298,9 +303,9 @@ class TestLockstepSweep:
 
         monkeypatch.setattr(atomicity, "bootstrap_mean_ci", capture)
         rows = sweep(m, 2.0, stream, i_values, trials)
-        expected = np.ascontiguousarray(np.array(
-            [reference_differences(m, 2.0, stream.trace if isinstance(stream, ReplayStream) else stream.events(t),
-                                   i_values) for t in range(trials)]).T)
+        # a replay's trials all replay its trace
+        events = [stream.trace] * trials if isinstance(stream, ReplayStream) else map(stream.events, range(trials))
+        expected = np.ascontiguousarray(np.array([reference_differences(m, 2.0, e, i_values) for e in events]).T)
         assert [r.intermediaries for r in rows] == i_values
         assert len(captured) == len(i_values)
         for row, samples, reference in zip(rows, captured, expected):
