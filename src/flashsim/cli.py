@@ -3,9 +3,10 @@
 Every command emits a run report echoing its inputs (with content hashes)
 next to its results, so a report is reproducible byte-for-byte under a
 fixed seed once timing fields are dropped.  Exit codes: 0 success, 1
-infeasible or strict-mode violation, 2 unusable input.  One runner,
-`_command`, times each command, maps unusable input to exit 2, builds
-the report and renders it.
+infeasible or strict-mode violation, 2 unusable input or output.  One
+runner, `_command`, times each command, maps unusable input to exit 2,
+builds the report and renders it.  `run` is the process entry point: it
+ends the process once the report is flushed, without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 
 import click
 import numpy as np
@@ -55,6 +56,22 @@ def _unusable_input():
     except INPUT_ERRORS as exc:
         click.echo(f"error: {' '.join(str(exc).splitlines())}", err=True)
         sys.exit(2)
+
+
+@contextmanager
+def _stdout():
+    """Exit 2 with one `error:` line naming stdout if a write to it in the block fails.
+
+    The failure closes stdout, which drops the bytes it could not write: the
+    interpreter's exit would otherwise try them again and fail again.
+    """
+    with _unusable_input():
+        try:
+            yield
+        except OSError as exc:
+            with suppress(OSError):
+                sys.stdout.close()
+            raise ConfigError(f"stdout: {exc.strerror or exc}") from None
 
 
 def _neither(option: str, value: str, kind: str, names) -> ConfigError:
@@ -145,9 +162,11 @@ def _command(name: str):
                       "scenario_hash": input_hash, "results": results, "versions": _versions(),
                       "wall_time_s": time.perf_counter() - started}
             if obj["format"] == "structured":
-                click.echo(json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False))
+                out = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False)
             else:
-                click.echo("\n".join(csv if obj["format"] == "csv" else text))
+                out = "\n".join(csv if obj["format"] == "csv" else text)
+            with _stdout():
+                click.echo(out)
             if code:
                 sys.exit(code)
         return main.command(name)(run)
@@ -368,8 +387,40 @@ def describe_cmd(scenario, vector_name):
     with _unusable_input():
         state, _ = _resolve_scenario(scenario)
         vector = _resolve_vector(vector_name, state)
-    click.echo(json.dumps(describe(vector), indent=2, sort_keys=True))
+    out = json.dumps(describe(vector), indent=2, sort_keys=True)
+    with _stdout():
+        click.echo(out)
+
+
+def _flush(stream) -> None:
+    if stream is not None and not stream.closed:
+        stream.flush()
+
+
+def run() -> None:
+    """Run `main` as a process and end it once stdout and stderr are flushed.
+
+    Every report is written and flushed by `click.echo` before `main` exits,
+    and nothing the CLI registers to run at exit writes output or files, so the
+    process ends with `os._exit` and skips the interpreter's teardown:
+    clearing the modules, the last garbage collections and the C libraries'
+    destructors.  An exit code that is not an integer, an exception other
+    than `SystemExit` and a failed flush of stderr take the normal exit.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    with _stdout():
+        _flush(sys.stdout)
+    try:
+        _flush(sys.stderr)
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -1,21 +1,14 @@
-"""Reference figures the tests check the models and the sweep against: a pool's spot price,
-a price's slippage and the atomic arbitrage.  No command needs them."""
+"""Reference figures the tests check the models and the sweep against: a pool's spot price
+and the atomic arbitrage.  No command needs them."""
 
 from flashsim.atomicity import TwoExchangeMarket
-from flashsim.models import ConfigError, ConstantProductAmm, WorldState, constant_product_swap
+from flashsim.models import ConstantProductAmm, WorldState, constant_product_swap
 
 
 def amm_spot_price_y(state: WorldState, amm_id: str) -> float:
     """Marginal price of Y in X units: reserve_x / reserve_y."""
     amm = state.pool(amm_id, ConstantProductAmm)
     return amm.reserve_x / amm.reserve_y
-
-
-def compute_slippage(expected_price: float, executed_price: float) -> float:
-    """Relative drift of the executed price against the expected price."""
-    if expected_price <= 0:
-        raise ConfigError(f"expected price must be positive, got {expected_price}")
-    return (executed_price - expected_price) / expected_price
 
 
 def atomic_arbitrage(market: TwoExchangeMarket, budget: float) -> tuple[float, float]:

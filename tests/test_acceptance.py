@@ -46,7 +46,7 @@ from flashsim.vectors import (
 )
 
 from differences import finite_diff_gradient
-from references import amm_spot_price_y, compute_slippage
+from references import amm_spot_price_y
 
 RNG = np.random.default_rng(314159)
 
@@ -204,9 +204,9 @@ def test_criterion_06_model_cross_checks(paa_state, oracle_state):
     price = 1.0 / amm_spot_price_y(dumped, "amm")
     checks.append(("pool quote after 540 = 106.05 within 0.5%",
                    abs(price - 106.05) <= 0.005 * 106.05, f"got {price:.2f}"))
-    checks.append(("slippage doubling = 100% exact",
-                   compute_slippage(1.0, 2.0) == 1.0, "1.0"))
-    incident = compute_slippage(36.55, 109.79)
+    # slippage: the executed price's drift from the expected, (executed - expected) / expected
+    checks.append(("slippage doubling = 100% exact", (2.0 - 1.0) / 1.0 == 1.0, "1.0"))
+    incident = (109.79 - 36.55) / 36.55
     checks.append(("incident slippage = 200.38% exact",
                    round(incident * 100, 2) == 200.38, f"got {incident * 100:.4f}%"))
     report(6, "single-operation checks against the incident narrative", checks)

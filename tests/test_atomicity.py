@@ -281,20 +281,23 @@ NOISY_TRACE = ReplayStream(tuple(
         [0.7, 3.0, 250.0, 1.3, 9.0, 410.0, 0.2, 5.0, 90.0, 33.0] * 3,
     )
 ))
+SYNTHETIC_11 = SyntheticStream(seed=11, size=60, amount_scale=0.7)
+SYNTHETIC_12 = SyntheticStream(seed=12, size=30, sigma=0.5)
 
 
 class TestLockstepSweep:
     """The sweep's per-trial profit differences are the scalar replay's, bit for bit."""
 
-    @pytest.mark.parametrize("m, stream, i_values, trials", [
+    # each case's events are those of its trials, one sequence a trial; its id names the trial count
+    @pytest.mark.parametrize("m, stream, i_values, events", [
         # fees, a trial count past the lane block, unsorted i, stream longer than max(i)
-        (fee_market(), SyntheticStream(seed=11, size=60, amount_scale=0.7), [40, 0, 7, 25], 130),
+        (fee_market(), SYNTHETIC_11, [40, 0, 7, 25], tuple(map(SYNTHETIC_11.events, range(130)))),
         # i = 0 and i = the stream length
-        (market(), SyntheticStream(seed=12, size=30, sigma=0.5), [30, 0, 1], 3),
-        # a replay whose irrelevant exchange ids must leave both pools alone
-        (fee_market(), NOISY_TRACE, [len(NOISY_TRACE.trace), 0, 3, 14], 4),
-    ])
-    def test_matches_scalar_reference(self, monkeypatch, m, stream, i_values, trials):
+        (market(), SYNTHETIC_12, [30, 0, 1], tuple(map(SYNTHETIC_12.events, range(3)))),
+        # a replay whose irrelevant exchange ids must leave both pools alone: every trial is its trace
+        (fee_market(), NOISY_TRACE, [len(NOISY_TRACE.trace), 0, 3, 14], (NOISY_TRACE.trace,) * 4),
+    ], ids=lambda value: str(len(value)) if isinstance(value, tuple) else None)
+    def test_matches_scalar_reference(self, monkeypatch, m, stream, i_values, events):
         captured = []
 
         def capture(samples, rng, n_resamples=1000, alpha=0.05):
@@ -302,9 +305,8 @@ class TestLockstepSweep:
             return 0.0, 0.0
 
         monkeypatch.setattr(atomicity, "bootstrap_mean_ci", capture)
+        trials = len(events)
         rows = sweep(m, 2.0, stream, i_values, trials)
-        # a replay's trials all replay its trace
-        events = [stream.trace] * trials if isinstance(stream, ReplayStream) else map(stream.events, range(trials))
         expected = np.ascontiguousarray(np.array([reference_differences(m, 2.0, e, i_values) for e in events]).T)
         assert [r.intermediaries for r in rows] == i_values
         assert len(captured) == len(i_values)

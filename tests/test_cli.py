@@ -1,6 +1,7 @@
 """End-to-end command behavior: formats, exit codes, golden structured reports."""
 
 import builtins
+import errno
 import hashlib
 import io
 import json
@@ -873,12 +874,18 @@ print(*seen, os.environ[{OPENBLAS!r}])
 """
 
 
-def spawn(args, stdin=None, preexec_fn=None, **env):
+def spawn(args, stdin=None, preexec_fn=None, stdout=subprocess.PIPE, **env):
     """`python <args>` in a fresh interpreter, with the package uninstalled on PYTHONPATH."""
     environ = {k: v for k, v in os.environ.items() if k != OPENBLAS}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**environ, **env}, cwd=ROOT, stdin=stdin,
-                          preexec_fn=preexec_fn, capture_output=True, text=True, timeout=600)
+                          preexec_fn=preexec_fn, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=600)
+
+
+def spawn_and_invoke(argv):
+    """`python -m flashsim.cli <argv>` in a fresh process, and `main` run on it in-process."""
+    return spawn(["-m", "flashsim.cli", *argv]), CliRunner().invoke(main, argv, prog_name="python -m flashsim.cli")
 
 
 class TestSpawnedCli:
@@ -901,10 +908,75 @@ class TestSpawnedCli:
         assert res.stdout == "[]\n"
 
     def test_optimize_paa_matches_golden(self):
-        res = spawn(["-m", "flashsim.cli", "--format", "structured", "optimize",
-                     "--scenario", "pump_arbitrage", "--vector", "paa"])
+        res, in_process = spawn_and_invoke(["--format", "structured", "optimize",
+                                            "--scenario", "pump_arbitrage", "--vector", "paa"])
         assert res.returncode == 0, res.stderr
         assert stable(res.stdout) == json.loads((GOLDEN / "optimize_paa.json").read_text())
+        assert (in_process.exit_code, stable(in_process.stdout), in_process.stderr) == (0, stable(res.stdout), "")
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--strict", "evaluate", "--scenario", "oracle_manipulation", "--vector", "oracle",
+          "898.58", "546.80", "3517.86"], 1),
+        (["optimize", "--scenario", "pump_arbitrage", "--vector", "paa", "--bound", "p1:1"], 2),
+        (["optimize", "--scenario", "pump_arbitrage", "--vector", "paa", "--no-such-option"], 2),
+    ], ids=["violated", "unusable-input", "usage-error"])
+    def test_process_writes_and_exits_as_main_does(self, argv, code):
+        # the process ends without interpreter teardown once its output is flushed
+        res, in_process = spawn_and_invoke(argv)
+        assert (res.returncode, res.stdout, res.stderr) == (code, in_process.stdout, in_process.stderr)
+        assert in_process.exit_code == code
+        assert res.stdout or res.stderr
+
+    def test_report_larger_than_a_pipe_buffer_arrives_whole(self, tmp_path):
+        projects = [f"0x{i:040x}" for i in range(600)]
+        (tmp_path / "map.csv").write_text("".join(f"{a},project{i}\n" for i, a in enumerate(projects)))
+        (tmp_path / "loans.jsonl").write_text("".join(
+            json.dumps({"tx": f"0x{i}-{k}", "touched": [a], "asset": "ETH", "amount": 1.0 + k, "gas": 5.0}) + "\n"
+            for i, a in enumerate(projects) for k in range(5)))
+        argv = ["--format", "structured", "classify", "--input", str(tmp_path / "loans.jsonl"),
+                "--map", str(tmp_path / "map.csv")]
+        res, in_process = spawn_and_invoke(argv)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert len(res.stdout.encode()) > 65536  # a pipe buffer on Linux
+        assert stable(res.stdout) == stable(in_process.stdout)
+        assert len(stable(res.stdout)["results"]["rows"]) == len(projects)
+
+    def test_installed_command_is_the_process_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert project["scripts"] == {"flashsim": "flashsim.cli:run"}
+
+    def test_import_leaves_the_garbage_collector_alone(self):
+        state = "(gc.isenabled(), gc.get_freeze_count(), gc.get_threshold())"
+        res = spawn(["-c", f"import gc; before = {state}; import flashsim.cli; print(before == {state})"])
+        assert (res.returncode, res.stdout) == (0, "True\n"), res.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["describe", "--scenario", "pump_arbitrage", "--vector", "paa"],
+        ["--format", "structured", "evaluate", "--scenario", "pump_arbitrage", "--vector", "paa", "5500", "1300"],
+        ["optimize", "--scenario", "pump_arbitrage", "--vector", "paa", "--starts", "2", "--grid-res", "8"],
+    ], ids=lambda argv: argv[0] if argv[0] != "--format" else argv[2])
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_report_that_cannot_be_written_exits_2_naming_stdout(self, argv, unbuffered):
+        # it ended in an OSError traceback and exit 1, the code for infeasible; a buffered
+        # stdout kept the unwritten bytes, failed again at exit and exited 120
+        with open("/dev/full", "w") as full:
+            res = spawn(["-m", "flashsim.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert (res.returncode, res.stderr) == (2, f"error: stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_report_to_a_closed_pipe_exits_2_naming_stdout(self, unbuffered):
+        # it exited 1, the code for infeasible, with nothing on stderr
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = spawn(["-m", "flashsim.cli", "describe", "--scenario", "pump_arbitrage", "--vector", "paa"],
+                        stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert (res.returncode, res.stderr) == (2, f"error: stdout: {os.strerror(errno.EPIPE)}\n")
 
 
 def readme_examples() -> list[str]:

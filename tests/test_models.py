@@ -33,7 +33,7 @@ from flashsim.models import (
 )
 from flashsim.scenario import builtin_scenario
 
-from references import amm_spot_price_y, compute_slippage
+from references import amm_spot_price_y
 
 A = "adversary"
 
@@ -153,7 +153,6 @@ class TestAmmSwap:
                            {(A, "ETH"): 10.0})
         after, _ = amm_swap_x_for_y(state, "amm", A, 10.0)
         assert after.balance(A, "WBTC") == pytest.approx(5.0, rel=1e-12)
-        assert compute_slippage(1.0, 10.0 / 5.0) == pytest.approx(1.0)
 
     def test_pump_swap_output(self, amm_state):
         after, _ = amm_swap_x_for_y(amm_state, "amm", A, 5637.40)
@@ -409,24 +408,8 @@ class TestMarginShort:
 
 
 # ---------------------------------------------------------------------------
-# slippage and shared behavior
+# shared behavior
 # ---------------------------------------------------------------------------
-
-class TestSlippage:
-    def test_doubling_is_hundred_percent(self):
-        assert compute_slippage(1.0, 2.0) == 1.0
-
-    def test_incident_slippage(self):
-        assert compute_slippage(36.55, 109.79) == (109.79 - 36.55) / 36.55
-        assert round(compute_slippage(36.55, 109.79), 4) == 2.0038
-
-    def test_no_move_is_zero(self):
-        assert compute_slippage(123.4, 123.4) == 0.0
-
-    def test_bad_expected_price(self):
-        with pytest.raises(ConfigError):
-            compute_slippage(0.0, 1.0)
-
 
 @pytest.mark.parametrize("name", sorted(vectors._OPS))
 def test_operations_are_pure(name, monkeypatch):
