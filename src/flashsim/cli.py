@@ -269,8 +269,6 @@ def evaluate_cmd(obj, scenario, vector_name, params):
     """Replay a vector at fixed parameters and print the full trace."""
     state, scenario_hash = _resolve_scenario(scenario)
     vector = _resolve_vector(vector_name, state)
-    if len(params) != vector.n_params:
-        raise ConfigError(f"vector {vector.name!r} needs {vector.n_params} parameter(s)")
     trace = evaluate(vector, state, params)
 
     assets = sorted({asset for state in trace.states for _, asset in state.balances})
@@ -404,16 +402,17 @@ def run() -> None:
     and nothing the CLI registers to run at exit writes output or files, so the
     process ends with `os._exit` and skips the interpreter's teardown:
     clearing the modules, the last garbage collections and the C libraries'
-    destructors.  An exit code that is not an integer, an exception other
-    than `SystemExit` and a failed flush of stderr take the normal exit.
+    destructors.  A failed write to stdout exits 2 (click exits 1 itself when
+    its own text meets a closed pipe); that exit, a non-integer exit code, an
+    exception other than `SystemExit` and a failed flush of stderr exit normally.
     """
-    try:
-        main()
-    except SystemExit as exc:
-        if exc.code is not None and not isinstance(exc.code, int):
-            raise
-        code = exc.code or 0
     with _stdout():
+        try:
+            main()
+        except SystemExit as exc:
+            if exc.code is not None and not isinstance(exc.code, int):
+                raise
+            code = exc.code or 0
         _flush(sys.stdout)
     try:
         _flush(sys.stderr)

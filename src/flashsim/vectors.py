@@ -9,9 +9,10 @@ between the initial and final states.
 
 The two built-in vectors model the February 2020 pump-and-arbitrage and
 oracle-manipulation incidents.  Each carries, besides its step chain, a
-closed-form objective and canonical constraint set in the parameters; the
-optimizer consumes those for speed, and a differential test holds the two
-routes together (they must agree to 1e-9 relative on feasible points).
+closed-form objective and canonical constraint set in the parameters, built
+from the ops' own formulas and residuals; the optimizer consumes those for
+speed, and a differential test holds the two routes together (they must
+agree to 1e-9 relative on feasible points).
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from .models import (
     as_number,
     collateralized_borrow,
     collateralized_repay,
+    constant_product_swap,
     expect_type,
     flash_loan,
     flash_repay,
     margin_short,
     reserve_convert_x_to_y,
+    reserve_quote,
     sell_x_for_y_fixed,
 )
 
@@ -233,13 +236,14 @@ def evaluate(vector: AttackVector, scenario: WorldState, params: Sequence[float]
 
     Negative residuals never raise; every failure of an op (a ConfigError or
     an arithmetic error) and every non-finite intermediate raises
-    :class:`EvaluationError` carrying the offending step index.
+    :class:`EvaluationError` carrying the offending step index.  Parameters
+    of the wrong count or not finite raise ConfigError.
     """
     params = tuple(float(p) for p in params)
     if len(params) != vector.n_params:
-        raise ValueError(f"expected {vector.n_params} parameters, got {len(params)}")
+        raise ConfigError(f"vector {vector.name!r} needs {vector.n_params} parameter(s)")
     if not all(math.isfinite(p) for p in params):
-        raise ValueError(f"parameters must be finite, got {params}")
+        raise ConfigError(f"parameters must be finite, got {params}")
 
     states: list[WorldState] = [scenario]
     residuals: list[Residual] = []
@@ -340,19 +344,15 @@ def _unique_pool(scenario: WorldState, kind: type) -> tuple[str, object]:
     return matches[0]
 
 
-def _closed_form_fits(vector: str, unmodelled: Mapping[str, bool]) -> None:
-    """ConfigError naming what of the scenario a built-in vector's closed form does not model."""
-    found = [what for what, present in unmodelled.items() if present]
-    if found:
-        raise ConfigError(
-            f"the built-in {vector} vector's closed form does not model {' or '.join(found)}; "
-            f"write its chain with `describe --vector {vector}` on a bundled scenario "
-            f"and pass that file as --vector FILE")
-
-
 def _coord(p, i: int):
     """i-th parameter of a single vector or a batch of vectors."""
     return np.asarray(p, dtype=float)[..., i]
+
+
+def _non_negative(*parameters: str) -> tuple[ConstraintSpec, ...]:
+    """The constraints p1 >= 0, p2 >= 0, ..., each described by what its parameter sets."""
+    return tuple(ConstraintSpec(f"p{i + 1}", f"{what} parameter non-negative", 1, True, lambda p, i=i: _coord(p, i))
+                 for i, what in enumerate(parameters))
 
 
 def build_paa_vector(scenario: WorldState) -> AttackVector:
@@ -360,8 +360,8 @@ def build_paa_vector(scenario: WorldState) -> AttackVector:
 
     p1 collateralizes the lending pool to draw Y; p2 opens the leveraged
     short that pumps the AMM.  The drawn Y is dumped into the pumped pool,
-    the flash loan repaid, and the debt bought back at the street price to
-    redeem the collateral.
+    the flash loan repaid with its interest, and the debt bought back at the
+    street price to redeem the collateral.  The short must execute on the AMM.
 
     The final step nets the buyback against the collateral it redeems (on
     chain this settled incrementally over later blocks), so its sell leg
@@ -374,47 +374,44 @@ def build_paa_vector(scenario: WorldState) -> AttackVector:
     amm_id, amm = _unique_pool(scenario, ConstantProductAmm)
     margin_id, margin = _unique_pool(scenario, MarginPlatform)
     market_id, market = _unique_pool(scenario, FixedPriceMarket)
-    _closed_form_fits("paa", {
-        "the AMM fee": amm.fee_rate != 0,
-        "flash-loan interest": flash.interest.rate != 0 or flash.interest.flat != 0,
-        f"a margin venue other than {amm_id!r}": margin.venue != amm_id,
-    })
+    if margin.venue != amm_id:
+        raise ConfigError(
+            f"the built-in paa vector's closed form does not model a margin venue other than {amm_id!r}; "
+            "write its chain with `describe --vector paa` on a bundled scenario and pass that file as --vector FILE")
 
     x = flash.asset
     y = lend.debt_asset
-    v_x = flash.available
-    cf, er, z_y = lend.collateral_factor, lend.exchange_rate, lend.available_debt
-    if er is None:
+    if lend.exchange_rate is None:
         raise ConfigError("pump-and-arbitrage lending pool needs a static exchange rate")
-    lev, ocr, w_x = margin.leverage, margin.over_collateral_ratio, margin.available_x
-    u_x0, u_y0 = amm.reserve_x, amm.reserve_y
-    k = u_x0 * u_y0
-    p_m = market.price
-    b0 = scenario.balance(BUILTIN_ACTOR, x)
+    b0, y0 = scenario.balance(BUILTIN_ACTOR, x), scenario.balance(BUILTIN_ACTOR, y)
 
-    def dumped_reserve_x(p):
-        pumped = u_x0 + _coord(p, 1) * lev / ocr
-        drawn = _coord(p, 0) * cf / er
-        return k / (k / pumped + drawn)
+    def loan(p):
+        return _coord(p, 0) + _coord(p, 1)
+
+    def pushed(p):
+        return _coord(p, 1) * margin.leverage / margin.over_collateral_ratio
+
+    def drawn(p):
+        return _coord(p, 0) * lend.collateral_factor / lend.exchange_rate
+
+    def dumped(p):
+        """X received for dumping all the Y held into the pool the short pumped."""
+        pumped_x, pumped_y, _ = constant_product_swap(amm.reserve_x, amm.reserve_y, amm.fee_rate, pushed(p))
+        return constant_product_swap(pumped_y, pumped_x, amm.fee_rate, y0 + drawn(p))[2]
 
     def objective(p):
-        drawn = _coord(p, 0) * cf / er
-        return u_x0 + _coord(p, 1) * lev / ocr - dumped_reserve_x(p) - _coord(p, 1) - drawn * p_m
+        return dumped(p) - _coord(p, 1) - drawn(p) * market.price - flash.interest.fee(loan(p))
 
     constraints = (
-        ConstraintSpec("p1", "collateral parameter non-negative", 1, True,
-                       lambda p: _coord(p, 0)),
-        ConstraintSpec("p2", "short-margin parameter non-negative", 1, True,
-                       lambda p: _coord(p, 1)),
+        *_non_negative("collateral", "short-margin"),
         ConstraintSpec("vX", "flash liquidity covers the total loan", 1, True,
-                       lambda p: v_x - _coord(p, 0) - _coord(p, 1)),
+                       lambda p: flash.available - loan(p)),
         ConstraintSpec("zY", "lending liquidity covers the drawn debt", 2, True,
-                       lambda p: z_y - _coord(p, 0) * cf / er),
+                       lambda p: lend.available_debt - drawn(p)),
         ConstraintSpec("wX", "margin platform liquidity covers the leveraged excess", 3, True,
-                       lambda p: w_x + _coord(p, 1) * (1.0 - lev / ocr)),
+                       lambda p: margin.available_x + _coord(p, 1) - pushed(p)),
         ConstraintSpec("repay", "post-dump balance covers the flash repayment", 5, False,
-                       lambda p: b0 + u_x0 + _coord(p, 1) * lev / ocr - dumped_reserve_x(p)
-                       - _coord(p, 0) - _coord(p, 1)),
+                       lambda p: b0 + dumped(p) - loan(p) - flash.interest.fee(loan(p))),
     )
 
     steps = (
@@ -433,7 +430,7 @@ def build_paa_vector(scenario: WorldState) -> AttackVector:
         name="paa",
         steps=steps,
         n_params=2,
-        bounds=((0.0, v_x), (0.0, v_x)),
+        bounds=((0.0, flash.available),) * 2,
         actor=BUILTIN_ACTOR,
         profit_asset=x,
         objective_name=f"net {x} gain for {BUILTIN_ACTOR}",
@@ -455,58 +452,46 @@ def build_oracle_vector(scenario: WorldState) -> AttackVector:
 
     p1 dumps into the price-oracle AMM, p2 into the exponential reserve,
     p3 buys at the fixed market; everything acquired is collateralized at
-    the manipulated AMM rate and the flash loan repaid.
+    the manipulated AMM rate and the flash loan repaid with its interest.
     """
     flash_id, flash = _unique_pool(scenario, FlashLoanPool)
     amm_id, amm = _unique_pool(scenario, ConstantProductAmm)
     reserve_id, reserve = _unique_pool(scenario, AutomatedPriceReserve)
     market_id, market = _unique_pool(scenario, FixedPriceMarket)
     lend_id, lend = _unique_pool(scenario, LendingPool)
-    _closed_form_fits("oracle", {
-        "the AMM fee": amm.fee_rate != 0,
-        "flash-loan interest": flash.interest.rate != 0 or flash.interest.flat != 0,
-    })
 
     x = flash.asset
     y = amm.asset_y
-    v_x = flash.available
-    u_x0, u_y0 = amm.reserve_x, amm.reserve_y
-    k = u_x0 * u_y0
     lr, min_p, max_p = reserve.liquidity_rate, reserve.min_price, reserve.max_price
-    k_x0 = reserve.inventory_x
-    reserve_price0 = min_p * math.exp(lr * k_x0)
-    p_m = market.price
-    max_y = market.max_y
-    cf, z_y = lend.collateral_factor, lend.available_debt
-    if max_y is None:
+    reserve_price0 = reserve_quote(reserve)
+    y0 = scenario.balance(BUILTIN_ACTOR, y)
+    if market.max_y is None:
         raise ConfigError("oracle-manipulation market needs a maxY cap")
 
-    def acquired_y(p):
-        swapped = u_y0 - k / (u_x0 + _coord(p, 0))
+    def loan(p):
+        return _coord(p, 0) + _coord(p, 1) + _coord(p, 2)
+
+    def drawn(p):
+        """X drawn against all the Y held, at the pumped AMM's rate."""
+        pumped_x, pumped_y, swapped = constant_product_swap(amm.reserve_x, amm.reserve_y, amm.fee_rate,
+                                                            _coord(p, 0))
         converted = (1.0 - np.exp(-lr * _coord(p, 1))) / (lr * reserve_price0)
-        bought = _coord(p, 2) / p_m
-        return swapped + converted + bought
+        bought = _coord(p, 2) / market.price
+        return (y0 + swapped + converted + bought) * lend.collateral_factor / (pumped_y / pumped_x)
 
     def objective(p):
-        pumped = u_x0 + _coord(p, 0)
-        drawn = acquired_y(p) * cf * (pumped / (k / pumped))
-        return drawn - _coord(p, 0) - _coord(p, 1) - _coord(p, 2)
+        return drawn(p) - loan(p) - flash.interest.fee(loan(p))
 
     constraints = (
-        ConstraintSpec("p1", "oracle-pump parameter non-negative", 1, True,
-                       lambda p: _coord(p, 0)),
-        ConstraintSpec("p2", "reserve-conversion parameter non-negative", 1, True,
-                       lambda p: _coord(p, 1)),
-        ConstraintSpec("p3", "fixed-market parameter non-negative", 1, True,
-                       lambda p: _coord(p, 2)),
+        *_non_negative("oracle-pump", "reserve-conversion", "fixed-market"),
         ConstraintSpec("vX", "flash liquidity covers the total loan", 1, True,
-                       lambda p: v_x - _coord(p, 0) - _coord(p, 1) - _coord(p, 2)),
+                       lambda p: flash.available - loan(p)),
         ConstraintSpec("maxP", "reserve quote stays below its cap", 3, False,
-                       lambda p: max_p - min_p * np.exp(lr * (k_x0 + _coord(p, 1)))),
+                       lambda p: max_p - min_p * np.exp(lr * (reserve.inventory_x + _coord(p, 1)))),
         ConstraintSpec("maxY", "fixed market inventory covers the purchase", 4, True,
-                       lambda p: max_y - _coord(p, 2) / p_m),
+                       lambda p: market.max_y - _coord(p, 2) / market.price),
         ConstraintSpec("zY", "lender liquidity covers the drawn amount", 5, False,
-                       lambda p: z_y - acquired_y(p) * cf * np.square(u_x0 + _coord(p, 0)) / k),
+                       lambda p: lend.available_debt - drawn(p)),
     )
 
     steps = (
@@ -525,7 +510,7 @@ def build_oracle_vector(scenario: WorldState) -> AttackVector:
         name="oracle",
         steps=steps,
         n_params=3,
-        bounds=((0.0, v_x),) * 3,
+        bounds=((0.0, flash.available),) * 3,
         actor=BUILTIN_ACTOR,
         profit_asset=x,
         objective_name=f"net {x} gain for {BUILTIN_ACTOR}",

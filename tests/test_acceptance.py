@@ -46,7 +46,7 @@ from flashsim.vectors import (
 )
 
 from differences import finite_diff_gradient
-from references import amm_spot_price_y
+from references import PRICED_VARIANTS, amm_spot_price_y, priced_variant
 
 RNG = np.random.default_rng(314159)
 
@@ -239,22 +239,38 @@ def _feasible_draws(vector, box, count):
     return draws
 
 
+# The op residual each closed-form constraint stands for (p1, p2 and p3 bound a parameter).
+OP_RESIDUAL = {"vX": "loan_liquidity", "zY": "debt_liquidity", "wX": "platform_liquidity",
+               "repay": "repay_balance", "maxP": "price_cap", "maxY": "market_inventory"}
+BOXES = {"pump_arbitrage": ((0.0, 7573.0), (0.0, 1456.23)),
+         "oracle_manipulation": ((0.0, 1100.0), (0.0, 548.0), (0.0, 3517.86))}
+
+
 def test_criterion_08_differential_consistency(paa, paa_state, oracle, oracle_state):
-    mismatches = 0
-    worst = 0.0
-    for vector, state, box, count in (
-        (paa, paa_state, ((0.0, 7573.0), (0.0, 1456.23)), 5000),
-        (oracle, oracle_state, ((0.0, 1100.0), (0.0, 548.0), (0.0, 3517.86)), 5000),
-    ):
+    chains = [(paa, paa_state, BOXES["pump_arbitrage"], 5000),
+              (oracle, oracle_state, BOXES["oracle_manipulation"], 5000)]
+    for name, pool, change in PRICED_VARIANTS.values():  # an AMM fee or flash-loan interest
+        state = priced_variant(name, pool, change)
+        build = build_paa_vector if name == "pump_arbitrage" else build_oracle_vector
+        chains.append((build(state), state, BOXES[name], 2000))
+    mismatches = residual_mismatches = draws = 0
+    worst = worst_residual = 0.0
+    for vector, state, box, count in chains:
         for params in _feasible_draws(vector, box, count):
-            algebraic = float(vector.objective(params))
-            replayed = evaluate(vector, state, params).objective_value
-            gap = abs(algebraic - replayed) / max(1.0, abs(algebraic), abs(replayed))
-            worst = max(worst, gap)
-            if not math.isclose(algebraic, replayed, rel_tol=1e-9, abs_tol=1e-9):
-                mismatches += 1
-    report(8, "closed-form and replayed objectives agree to 1e-9 on 10,000 draws", [
-        ("no mismatches", mismatches == 0, f"{mismatches} of 10000, worst gap {worst:.2e}"),
+            draws += 1
+            trace = evaluate(vector, state, params)
+            pairs = [(float(vector.objective(params)), trace.objective_value)]
+            replayed = {(r.step, r.name): r.value for r in trace.residuals}
+            pairs += [(float(c.fn(params)), replayed[c.step, OP_RESIDUAL[c.name]])
+                      for c in vector.constraints if c.name in OP_RESIDUAL]
+            gaps = [abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs]
+            worst, worst_residual = max(worst, gaps[0]), max(worst_residual, *gaps[1:])
+            mismatches += gaps[0] > 1e-9
+            residual_mismatches += max(gaps[1:]) > 1e-9
+    report(8, f"closed forms and replays agree to 1e-9 on {draws:,} draws over {len(chains)} scenarios", [
+        ("objectives", mismatches == 0, f"{mismatches} of {draws} mismatch, worst gap {worst:.2e}"),
+        ("constraints and their op residuals", residual_mismatches == 0,
+         f"{residual_mismatches} of {draws} mismatch, worst gap {worst_residual:.2e}"),
     ])
 
 

@@ -30,6 +30,8 @@ from flashsim.vectors import (
     with_bounds,
 )
 
+from references import bundled_doc
+
 RNG = np.random.default_rng(2020)
 DESCRIBED_PAA = Path(__file__).parent / "golden" / "describe_paa.json"
 
@@ -106,9 +108,9 @@ class TestEvaluate:
         assert zy.value < 0  # exceeds lender liquidity; only the cap residual says so
 
     def test_wrong_params(self, paa, paa_state):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^vector 'paa' needs 2 parameter\(s\)$"):
             evaluate(paa, paa_state, (1.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="parameters must be finite"):
             evaluate(paa, paa_state, (float("inf"), 0.0))
 
     def test_overflow_reports_step(self, oracle, oracle_state):
@@ -201,6 +203,18 @@ class TestBuiltins:
         batch = lo + np.random.default_rng(0).random((3000, vector.n_params)) * (hi - lo)
         for fn in [vector.objective] + [c.fn for c in vector.constraints]:
             assert np.array_equal(fn(batch), [fn(p) for p in batch])
+
+    @pytest.mark.parametrize("name, scenario, asset", [
+        ("paa", "pump_arbitrage", "WBTC"), ("oracle", "oracle_manipulation", "sUSD")], ids=["paa", "oracle"])
+    def test_closed_form_counts_the_y_the_actor_starts_with(self, name, scenario, asset):
+        # the chain dumps or collateralizes all the Y held; the closed forms left out what it held at the start
+        doc = bundled_doc(scenario)
+        doc["balances"]["adversary"][asset] = 10.0
+        state = scenario_from_dict(doc)
+        vector = vectors.BUILTIN_VECTORS[name](state)
+        for point in vector.reference_points.values():
+            assert float(vector.objective(np.array(point))) == pytest.approx(
+                evaluate(vector, state, point).objective_value, rel=1e-9)
 
     def test_canonical_residuals_match_mechanical_trace(self, oracle, oracle_state):
         params = np.array([700.0, 450.0, 3000.0])
